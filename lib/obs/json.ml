@@ -7,21 +7,28 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The runtime primitive behind [Printf.sprintf "%.17g"]: for a finite
+   float Printf formats through exactly this call, so the output is
+   byte-identical without Printf's format interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let needs_escape = function '"' | '\\' | '\000' .. '\031' -> true | _ -> false
+
+let add_escaped buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -29,11 +36,11 @@ let rec write buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       (* %.17g round-trips every float; JSON has no nan/inf literals. *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      if Float.is_finite f then Buffer.add_string buf (format_float "%.17g" f)
       else Buffer.add_string buf "null"
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List xs ->
       Buffer.add_char buf '[';
@@ -49,7 +56,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           write buf v)
         fields;
@@ -68,19 +75,21 @@ let of_string text =
   let n = String.length text in
   let pos = ref 0 in
   let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
+  (* '\000' past the end: every caller that must tell end of input from a
+     stray NUL checks [!pos < n] itself *)
+  let peek () = if !pos < n then text.[!pos] else '\000' in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
+    if !pos < n && text.[!pos] = c then advance ()
+    else fail (Printf.sprintf "expected %c" c)
   in
   let literal word value =
     let l = String.length word in
@@ -90,9 +99,11 @@ let of_string text =
     end
     else fail ("expected " ^ word)
   in
-  let parse_string () =
-    expect '"';
+  (* Slow path: the string has escapes.  [start] is its first byte;
+     bytes [start, !pos) are already known to be escape-free. *)
+  let parse_escaped start =
     let buf = Buffer.create 16 in
+    Buffer.add_substring buf text start (!pos - start);
     let rec go () =
       if !pos >= n then fail "unterminated string"
       else
@@ -143,18 +154,35 @@ let of_string text =
     in
     go ()
   in
-  let parse_number () =
+  (* Fast path: an escape-free string is one slice of [text]. *)
+  let parse_string () =
+    expect '"';
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char text.[!pos] do
+    while !pos < n && not (needs_escape text.[!pos]) do
       advance ()
     done;
+    if !pos < n && text.[!pos] = '"' then begin
+      advance ();
+      String.sub text start (!pos - start - 1)
+    end
+    else parse_escaped start
+  in
+  let parse_number () =
+    let start = !pos in
+    (* a token with '.', 'e' or 'E' can only be a Float: skip the
+       int_of_string_opt that would fail on it *)
+    let fractional = ref false in
+    let continue = ref true in
+    while !continue && !pos < n do
+      match text.[!pos] with
+      | '0' .. '9' | '-' | '+' -> advance ()
+      | '.' | 'e' | 'E' ->
+          fractional := true;
+          advance ()
+      | _ -> continue := false
+    done;
     let s = String.sub text start (!pos - start) in
-    match int_of_string_opt s with
+    match if !fractional then None else int_of_string_opt s with
     | Some i -> Int i
     | None -> (
         match float_of_string_opt s with
@@ -163,59 +191,60 @@ let of_string text =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
+    if !pos >= n then fail "unexpected end of input"
+    else
+      match text.[!pos] with
+      | '"' -> String (parse_string ())
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | '{' ->
           advance ();
-          Obj []
-        end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          fields []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
+          skip_ws ();
+          if peek () = '}' then begin
+            advance ();
+            Obj []
+          end
+          else
+            let rec fields acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | ',' ->
+                  advance ();
+                  fields ((k, v) :: acc)
+              | '}' ->
+                  advance ();
+                  Obj (List.rev ((k, v) :: acc))
+              | _ -> fail "expected , or }"
+            in
+            fields []
+      | '[' ->
           advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          items []
-    | Some _ -> parse_number ()
+          skip_ws ();
+          if peek () = ']' then begin
+            advance ();
+            List []
+          end
+          else
+            let rec items acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | ',' ->
+                  advance ();
+                  items (v :: acc)
+              | ']' ->
+                  advance ();
+                  List (List.rev (v :: acc))
+              | _ -> fail "expected , or ]"
+            in
+            items []
+      | _ -> parse_number ()
   in
   match
     let v = parse_value () in

@@ -112,12 +112,21 @@ let request_reload ?path c =
 (* Per-connection state                                           *)
 (* -------------------------------------------------------------- *)
 
+(* Egress is one byte window per connection: replies are encoded onto
+   the back of [out], the socket drains it from [out_head], and the loop
+   makes one write per connection per turn for everything buffered.
+   Offsets on the [ends] ring are positions in the connection's output
+   stream (the unit of [flushed]) at which reply frames end; once
+   [flushed] passes one, that reply counts as answered. *)
 type conn = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
-  egress : (string * bool) Queue.t;  (* payload, counts-as-answer *)
-  mutable egress_off : int;  (* bytes of the head already written *)
-  mutable egress_bytes : int;
+  out : Buffer.t;  (* bytes [out_head, Buffer.length out) are unsent *)
+  mutable out_head : int;
+  mutable flushed : int;  (* bytes written to the socket so far *)
+  mutable ends : int array;  (* ring, power-of-two capacity *)
+  mutable ends_head : int;
+  mutable ends_len : int;  (* replies encoded but not yet flushed *)
   mutable read_open : bool;  (* false after EOF or protocol error *)
   mutable alive : bool;  (* false once the fd is closed *)
   mutable unanswered : int;  (* parsed requests whose reply has not flushed *)
@@ -141,6 +150,8 @@ type state = {
   mutable conns : conn list;
   mutable draining : bool;
   read_buf : Bytes.t;
+  write_buf : Bytes.t;  (* one turn's write for one connection *)
+  batch_names : string array;  (* served.batch.leN, indexed by [bucket] *)
   mutable s_connections : int;
   mutable s_requests : int;
   mutable s_answered : int;
@@ -157,10 +168,28 @@ let fresh_cache st space =
   Core.Memo.create ~obs:st.obs ~capacity:st.cfg.cache_capacity ~space
     ~sample_size:st.cfg.grid_sample_size ()
 
-let send _st conn wire resp ~reply =
-  let data = Frame.encode_response wire resp in
-  Queue.push (data, reply) conn.egress;
-  conn.egress_bytes <- conn.egress_bytes + String.length data
+let egress_bytes conn = Buffer.length conn.out - conn.out_head
+
+let grow_ends conn =
+  let cap = Array.length conn.ends in
+  let bigger = Array.make (2 * cap) 0 in
+  for i = 0 to conn.ends_len - 1 do
+    bigger.(i) <- conn.ends.((conn.ends_head + i) land (cap - 1))
+  done;
+  conn.ends <- bigger;
+  conn.ends_head <- 0
+
+(* Append one frame to the egress window; a reply's end offset goes on
+   the ring so that its flush counts as an answer.  On the per-reply
+   path (zero-alloc, enforced by tools/analyze/hotpaths.sexp). *)
+let send conn wire resp ~reply =
+  Frame.encode_response_into conn.out wire resp;
+  if reply then begin
+    if conn.ends_len = Array.length conn.ends then grow_ends conn;
+    conn.ends.((conn.ends_head + conn.ends_len) land (Array.length conn.ends - 1))
+    <- conn.flushed + egress_bytes conn;
+    conn.ends_len <- conn.ends_len + 1
+  end
 
 let kill st conn =
   if conn.alive then begin
@@ -171,8 +200,42 @@ let kill st conn =
     if conn.unanswered > 0 then
       Obs.count st.obs "served.lost" conn.unanswered;
     conn.unanswered <- 0;
-    Queue.clear conn.egress;
-    conn.egress_bytes <- 0
+    Buffer.reset conn.out;
+    conn.out_head <- 0;
+    conn.ends_len <- 0
+  end
+
+(* [n] bytes of the window reached the socket: advance past them, then
+   count every reply frame now wholly flushed. *)
+let advance st conn n =
+  conn.out_head <- conn.out_head + n;
+  conn.flushed <- conn.flushed + n;
+  let pending = egress_bytes conn in
+  if pending = 0 then begin
+    (* a window grown by a burst is given back once it drains *)
+    if Buffer.length conn.out > Bytes.length st.write_buf then
+      Buffer.reset conn.out
+    else Buffer.clear conn.out;
+    conn.out_head <- 0
+  end
+  else if conn.out_head > pending then begin
+    (* a partial write: drop the sent prefix once it outweighs the rest *)
+    let rest = Buffer.sub conn.out conn.out_head pending in
+    Buffer.clear conn.out;
+    Buffer.add_string conn.out rest;
+    conn.out_head <- 0
+  end;
+  let mask = Array.length conn.ends - 1 in
+  let answered = ref 0 in
+  while conn.ends_len > 0 && conn.ends.(conn.ends_head) <= conn.flushed do
+    conn.ends_head <- (conn.ends_head + 1) land mask;
+    conn.ends_len <- conn.ends_len - 1;
+    incr answered
+  done;
+  if !answered > 0 then begin
+    st.s_answered <- st.s_answered + !answered;
+    Obs.count st.obs "served.answered" !answered;
+    conn.unanswered <- conn.unanswered - !answered
   end
 
 (* A connection is finished once nothing can flow in either direction:
@@ -180,7 +243,7 @@ let kill st conn =
 let try_retire st conn =
   if
     conn.alive && (not conn.read_open)
-    && Queue.is_empty conn.egress
+    && egress_bytes conn = 0
     && conn.unanswered = 0
   then kill st conn (* nothing unanswered: closes without loss *)
 
@@ -247,13 +310,13 @@ let handle_request st conn req wire =
   match req with
   | Frame.Reload path ->
       (* control messages answer on the JSON wire only *)
-      send st conn Frame.Json_wire (do_reload st path) ~reply:false
+      send conn Frame.Json_wire (do_reload st path) ~reply:false
   | Frame.Predict { id; point; natural } -> (
       st.s_requests <- st.s_requests + 1;
       Obs.incr st.obs "served.requests";
       conn.unanswered <- conn.unanswered + 1;
       let reply status value =
-        send st conn wire (Frame.Reply { id; status; value }) ~reply:true
+        send conn wire (Frame.Reply { id; status; value }) ~reply:true
       in
       if st.draining then begin
         Obs.incr st.obs "served.shutting_down";
@@ -299,7 +362,7 @@ let rec drain_decoder st conn =
         Obs.incr st.obs "served.protocol_error";
         conn.read_open <- false;
         ignore msg;
-        send st conn Frame.Json_wire
+        send conn Frame.Json_wire
           (Frame.Reply { id = -1; status = Frame.Bad_request; value = Float.nan })
           ~reply:false
     | `Msg (req, wire) ->
@@ -329,30 +392,17 @@ let handle_readable st conn =
         kill st conn
   end
 
+(* One write per connection per turn, of everything buffered (up to
+   [write_buf]'s size); the socket may take less, and the rest waits for
+   the next turn. *)
 let handle_writable st conn =
-  if conn.alive && not (Queue.is_empty conn.egress) then begin
+  let pending = egress_bytes conn in
+  if conn.alive && pending > 0 then begin
     (try
        Fault.point "serve.write";
-       let continue = ref true in
-       while !continue && not (Queue.is_empty conn.egress) do
-         let data, is_reply = Queue.peek conn.egress in
-         let len = String.length data - conn.egress_off in
-         let n = Unix.write_substring conn.fd data conn.egress_off len in
-         conn.egress_bytes <- conn.egress_bytes - n;
-         if n = len then begin
-           ignore (Queue.pop conn.egress);
-           conn.egress_off <- 0;
-           if is_reply then begin
-             st.s_answered <- st.s_answered + 1;
-             Obs.incr st.obs "served.answered";
-             conn.unanswered <- conn.unanswered - 1
-           end
-         end
-         else begin
-           conn.egress_off <- conn.egress_off + n;
-           continue := false
-         end
-       done
+       let len = min pending (Bytes.length st.write_buf) in
+       Buffer.blit conn.out conn.out_head st.write_buf 0 len;
+       advance st conn (Unix.single_write conn.fd st.write_buf 0 len)
      with
     | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | Unix.Unix_error (_, _, _) -> kill st conn
@@ -381,9 +431,12 @@ let handle_accept st lfd =
             {
               fd;
               dec = Frame.decoder ~max_frame:st.cfg.max_frame ();
-              egress = Queue.create ();
-              egress_off = 0;
-              egress_bytes = 0;
+              out = Buffer.create 4096;
+              out_head = 0;
+              flushed = 0;
+              ends = Array.make 64 0;
+              ends_head = 0;
+              ends_len = 0;
               read_open = true;
               alive = true;
               unanswered = 0;
@@ -403,12 +456,20 @@ let handle_accept st lfd =
 (* Batched evaluation                                             *)
 (* -------------------------------------------------------------- *)
 
-(* [bucket_from] is top-level rather than local to [bucket]: a local
+(* [bucket n] is the base-2 log of the smallest power of two >= [n].
+   [bucket_from] is top-level rather than local to [bucket]: a local
    [let rec] would allocate a closure over [n] on every call, and
-   [bucket] sits on the per-request path (zero-alloc, enforced by
+   [bucket] sits on the per-batch path (zero-alloc, enforced by
    tools/analyze/hotpaths.sexp). *)
-let rec bucket_from b n = if b >= n then b else bucket_from (2 * b) n
-let bucket n = bucket_from 1 n
+let rec bucket_from i n = if 1 lsl i >= n then i else bucket_from (i + 1) n
+let bucket n = bucket_from 0 n
+
+(* The batch-size histogram's counter names, built once per run so that
+   a batch under [Obs.null] costs one match, not a [sprintf]. *)
+let batch_names max_batch =
+  Array.init
+    (bucket max_batch + 1)
+    (fun i -> Printf.sprintf "served.batch.le%d" (1 lsl i))
 
 (* Probe the memo for the whole batch, kernel-evaluate only the misses
    (optionally sliced across domains — per-point results are
@@ -463,7 +524,7 @@ let process_ingress st =
       else if Int64.compare now p.p_deadline > 0 then begin
         st.s_timeouts <- st.s_timeouts + 1;
         Obs.incr st.obs "served.timeout";
-        send st p.p_conn p.p_wire
+        send p.p_conn p.p_wire
           (Frame.Reply { id = p.p_id; status = Frame.Timeout; value = Float.nan })
           ~reply:true
       end
@@ -477,10 +538,10 @@ let process_ingress st =
       let points = Array.map (fun p -> p.p_point) batch in
       let values = eval_points st points in
       Obs.incr st.obs "served.batches";
-      Obs.incr st.obs (Printf.sprintf "served.batch.le%d" (bucket !size));
+      Obs.incr st.obs st.batch_names.(bucket !size);
       Array.iteri
         (fun i p ->
-          send st p.p_conn p.p_wire
+          send p.p_conn p.p_wire
             (Frame.Reply { id = p.p_id; status = Frame.Ok; value = values.(i) })
             ~reply:true)
         batch
@@ -537,6 +598,9 @@ let stats_of st =
 
 let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
   validate_config cfg;
+  (* a peer that hangs up with replies owed must surface as EPIPE on its
+     own connection, not as a signal that ends the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let st =
     {
       cfg;
@@ -551,6 +615,8 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
       conns = [];
       draining = false;
       read_buf = Bytes.create 65536;
+      write_buf = Bytes.create 65536;
+      batch_names = batch_names cfg.max_batch;
       s_connections = 0;
       s_requests = 0;
       s_answered = 0;
@@ -597,14 +663,14 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
     in
     let writes =
       List.filter_map
-        (fun c ->
-          if c.alive && not (Queue.is_empty c.egress) then Some c.fd else None)
+        (fun c -> if c.alive && egress_bytes c > 0 then Some c.fd else None)
         st.conns
     in
-    let readable, writable =
+    (* waiting on [writes] wakes the loop when a full socket drains *)
+    let readable =
       match Unix.select reads writes [] cfg.tick_s with
-      | r, w, _ -> (r, w)
-      | exception Unix.Unix_error (EINTR, _, _) -> ([], [])
+      | r, _, _ -> r
+      | exception Unix.Unix_error (EINTR, _, _) -> []
     in
     if List.mem listener readable then handle_accept st listener;
     List.iter
@@ -612,18 +678,14 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
         if c.alive && List.mem c.fd readable then handle_readable st c)
       st.conns;
     process_ingress st;
-    List.iter
-      (fun c ->
-        if
-          c.alive
-          && (List.mem c.fd writable || not (Queue.is_empty c.egress))
-        then handle_writable st c)
-      st.conns;
+    (* every connection with bytes owed gets its write, whether or not
+       select saw it writable: most were filled during this turn *)
+    List.iter (handle_writable st) st.conns;
     (* slow-reader bound: a peer that will not drain its socket cannot
        hold daemon memory hostage *)
     List.iter
       (fun c ->
-        if c.alive && c.egress_bytes > cfg.max_egress then begin
+        if c.alive && egress_bytes c > cfg.max_egress then begin
           Obs.incr obs "served.egress_overflow";
           kill st c
         end)
@@ -632,7 +694,7 @@ let run ?(obs = Obs.null) ?(control = control ()) ~predictor cfg =
       st.draining
       && Queue.is_empty st.ingress
       && List.for_all
-           (fun c -> (not c.alive) || Queue.is_empty c.egress)
+           (fun c -> (not c.alive) || egress_bytes c = 0)
            st.conns
     then finished := true
   done;

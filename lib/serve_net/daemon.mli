@@ -12,7 +12,14 @@
     - {b backpressure} — the ingress queue is bounded ([max_pending];
       excess requests answer [overloaded]), queued requests expire
       against [deadline_ns] (answering [timeout]), and a peer that
-      stops reading is disconnected at [max_egress] buffered bytes;
+      stops reading is disconnected once its egress window holds more
+      than [max_egress] unsent bytes;
+    - {b batched egress} — replies are encoded, in order, onto one
+      byte window per connection, and each loop turn makes one write
+      per connection for everything buffered; a short write leaves the
+      rest for the next turn.  A reply counts as answered once the
+      bytes flushed reach its frame's end, tracked on a ring of end
+      offsets;
     - {b graceful drain} — {!request_drain} closes the listener,
       answers everything already accepted, flushes every socket and
       returns with [lost = 0];
@@ -28,7 +35,12 @@
     socket read, ["serve.write"] before each socket write,
     ["serve.reload"] at reload entry.  An injected fault is absorbed as
     the corresponding I/O failure (skipped accept round, one dead
-    connection, one failed reload) — never a crash. *)
+    connection, one failed reload) — never a crash.
+
+    {!run} sets [SIGPIPE] to ignored for the whole process: a peer that
+    closes with replies still owed then fails that connection's write
+    with [EPIPE] (the connection dies and its unflushed replies count
+    as [lost]) instead of killing the process. *)
 
 type listener = Unix_socket of string | Tcp of { host : string; port : int }
 
@@ -54,7 +66,9 @@ val default : config
 type stats = {
   connections : int;  (** accepted connections *)
   requests : int;  (** predict requests parsed *)
-  answered : int;  (** replies fully flushed to a socket (any status) *)
+  answered : int;
+      (** replies whose frame was wholly written to the socket (any
+          status) *)
   shed : int;  (** answered [overloaded] at the ingress bound *)
   timeouts : int;  (** answered [timeout] after queueing too long *)
   bad_requests : int;  (** answered [bad_request] (invalid point) *)
@@ -89,11 +103,13 @@ val run :
     from another domain (tests) or wire signals to [control] (CLI).
     Raises [Error.Archpred (Invalid_input _)] on a nonsensical config
     and lets listener-setup [Unix.Unix_error]s escape; once the loop is
-    entered, per-connection failures never escape.
+    entered, per-connection failures never escape.  Ignores [SIGPIPE]
+    for the process (see above).
 
     Counters on [obs]: [served.requests], [served.answered],
     [served.shed], [served.timeout], [served.bad_request],
     [served.protocol_error], [served.connections], [served.batches],
     [served.batch.leN] (power-of-two batch-size histogram),
     [served.reload.ok], [served.reload.failed], [served.lost],
-    [served.fault.*], and gauge [served.hit_rate]. *)
+    [served.egress_overflow], [served.fault.*], and gauge
+    [served.hit_rate]. *)

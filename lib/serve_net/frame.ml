@@ -113,32 +113,44 @@ let encode_request wire req =
   | Binary_wire, Reload _ ->
       invalid_arg "Frame.encode_request: reload is a JSON-only control message"
 
-let encode_response wire resp =
+(* The binary reply frame, appended field by field: the per-reply
+   encoder of the binary wire (zero-alloc, enforced by
+   tools/analyze/hotpaths.sexp). *)
+let binary_reply_into buf id status value =
+  Buffer.add_char buf magic;
+  Buffer.add_int32_le buf 13l;
+  Buffer.add_int32_le buf (Int32.of_int id);
+  Buffer.add_uint8 buf (status_code status);
+  Buffer.add_int64_le buf (Int64.bits_of_float value)
+
+let json_line_into buf json =
+  Json.write buf json;
+  Buffer.add_char buf '\n'
+
+let encode_response_into buf wire resp =
   match (wire, resp) with
   | Json_wire, Reply { id; status; value } ->
       let fields =
         [ ("id", Json.Int id); ("status", Json.String (status_name status)) ]
         @ if status = Ok then [ ("value", Json.Float value) ] else []
       in
-      Json.to_string (Json.Obj fields) ^ "\n"
+      json_line_into buf (Json.Obj fields)
   | Json_wire, Reload_reply { ok; detail } ->
-      Json.to_string
+      json_line_into buf
         (Json.Obj
            [
              ("reload", Json.String (if ok then "ok" else "failed"));
              ("detail", Json.String detail);
            ])
-      ^ "\n"
   | Binary_wire, Reply { id; status; value } ->
-      let b = Bytes.create (header_len + 13) in
-      Bytes.set b 0 magic;
-      Bytes.set_int32_le b 1 13l;
-      Bytes.set_int32_le b 5 (Int32.of_int id);
-      Bytes.set_uint8 b 9 (status_code status);
-      Bytes.set_int64_le b 10 (Int64.bits_of_float value);
-      Bytes.to_string b
+      binary_reply_into buf id status value
   | Binary_wire, Reload_reply _ ->
       invalid_arg "Frame.encode_response: reload replies are JSON-only"
+
+let encode_response wire resp =
+  let buf = Buffer.create 64 in
+  encode_response_into buf wire resp;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding                                               *)

@@ -41,8 +41,13 @@ val encode_request : wire -> request -> string
 (** Raises [Invalid_argument] for [Binary_wire] reload requests —
     control messages are JSON-only. *)
 
+val encode_response_into : Buffer.t -> wire -> response -> unit
+(** Append one response frame to a buffer (the daemon's per-connection
+    egress window).  Raises [Invalid_argument] for [Binary_wire] reload
+    replies, before appending anything. *)
+
 val encode_response : wire -> response -> string
-(** Raises [Invalid_argument] for [Binary_wire] reload replies. *)
+(** {!encode_response_into} a fresh buffer, returning its contents. *)
 
 type decoder
 (** Incremental frame reassembler for one connection.  A protocol

@@ -106,6 +106,69 @@ let test_json_roundtrip () =
   | Ok v' -> Alcotest.(check bool) "roundtrip" true (v = v')
   | Error m -> Alcotest.failf "roundtrip failed: %s" m
 
+(* The float rule that JSON lines, journals and checkpoints rely on:
+   [%.17g] when finite, [null] otherwise. *)
+let qcheck_json_float_rule =
+  let specials =
+    [
+      0.; -0.; Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+      Float.max_float; -.Float.max_float; Float.nan; Float.infinity;
+      Float.neg_infinity; Float.epsilon; 0.1; 1e21; 1e-7; 123456789.;
+    ]
+  in
+  let subnormal =
+    QCheck.Gen.(
+      map2
+        (fun neg k ->
+          let f = Int64.float_of_bits (Int64.of_int k) in
+          if neg then -.f else f)
+        bool
+        (int_range 1 ((1 lsl 52) - 1)))
+  in
+  let gen = QCheck.Gen.(frequency [ (4, float); (1, subnormal); (1, oneofl specials) ]) in
+  QCheck.Test.make ~name:"Json float text is %.17g or null" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      let want = if Float.is_finite f then Printf.sprintf "%.17g" f else "null" in
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "x";
+      Json.write buf (Json.Float f);
+      String.equal (Json.to_string (Json.Float f)) want
+      && String.equal (Buffer.contents buf) ("x" ^ want))
+
+let test_json_parse_classes () =
+  let parse s =
+    match Json.of_string s with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" s e
+  in
+  List.iter
+    (fun (s, want) -> Alcotest.(check bool) s true (parse s = want))
+    [
+      ("0", Json.Int 0);
+      ("-17", Json.Int (-17));
+      ("4611686018427387903", Json.Int max_int);
+      (* ints that overflow [int] become floats *)
+      ("4611686018427387904", Json.Float 4611686018427387904.);
+      ("-99999999999999999999", Json.Float (-1e20));
+      ("0.5", Json.Float 0.5);
+      ("-2.25", Json.Float (-2.25));
+      ("1e3", Json.Float 1000.);
+      ("1E3", Json.Float 1000.);
+      ("2.5e-3", Json.Float 0.0025);
+      ("[1,1.0,1e0]", Json.List [ Json.Int 1; Json.Float 1.; Json.Float 1. ]);
+      ("\"plain\"", Json.String "plain");
+      ("\"\"", Json.String "");
+      ("\"ab\\ncd\"", Json.String "ab\ncd");
+      ("\"a\\\"b\\\\c\\/d\\u0001\"", Json.String "a\"b\\c/d\001");
+      ( "{\"k\":\"v\",\"esc\\tkey\":[]}",
+        Json.Obj [ ("k", Json.String "v"); ("esc\tkey", Json.List []) ] );
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ s) true (Result.is_error (Json.of_string s)))
+    [ "\"open"; "\"ab\\"; "\"a\001b\""; "\"bad \\q\""; "1.2.3"; "-"; "" ]
+
 (* ---------- counters across domains ---------- *)
 
 let pipeline_counters domains =
@@ -312,6 +375,8 @@ let () =
           Alcotest.test_case "memory shapes" `Quick test_memory_sink_event_shapes;
           Alcotest.test_case "jsonl parses" `Quick test_jsonl_sink_parses;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_json_float_rule;
+          Alcotest.test_case "json parse classes" `Quick test_json_parse_classes;
         ] );
       ( "pipeline",
         [

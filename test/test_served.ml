@@ -55,7 +55,7 @@ let fresh_sock () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "archpred_t%d_%d.sock" (Unix.getpid ()) !sock_counter)
 
-let start_daemon ?(tweak = fun c -> c) predictor =
+let start_daemon ?obs ?(tweak = fun c -> c) predictor =
   let sock = fresh_sock () in
   let control = Daemon.control () in
   let cfg =
@@ -67,7 +67,7 @@ let start_daemon ?(tweak = fun c -> c) predictor =
       }
   in
   let dom =
-    Domain.spawn (fun () -> Daemon.run ~control ~predictor cfg)
+    Domain.spawn (fun () -> Daemon.run ?obs ~control ~predictor cfg)
   in
   (sock, control, dom)
 
@@ -179,6 +179,51 @@ let test_response_roundtrip () =
           | `Error e -> Alcotest.failf "protocol error: %s" e)
         wires)
     resps
+
+(* Golden reply bytes for every status on both framings: the wire is a
+   contract with clients, so any change to it must show up here. *)
+let test_response_golden () =
+  let nan = Float.nan in
+  let reply wire id status value = (wire, Frame.Reply { id; status; value }) in
+  let j = Frame.Json_wire and b = Frame.Binary_wire in
+  List.iter
+    (fun ((wire, resp), want) ->
+      Alcotest.(check string) "golden bytes" want
+        (Frame.encode_response wire resp))
+    [
+      ( reply j 7 Frame.Ok 0.1,
+        "{\"id\":7,\"status\":\"ok\",\"value\":0.10000000000000001}\n" );
+      ( reply b 7 Frame.Ok 0.1,
+        "\167\r\000\000\000\007\000\000\000\000\154\153\153\153\153\153\185?" );
+      (reply j 7 Frame.Overloaded nan, "{\"id\":7,\"status\":\"overloaded\"}\n");
+      ( reply b 7 Frame.Overloaded nan,
+        "\167\r\000\000\000\007\000\000\000\001\001\000\000\000\000\000\248\127" );
+      (reply j 7 Frame.Timeout nan, "{\"id\":7,\"status\":\"timeout\"}\n");
+      ( reply b 7 Frame.Timeout nan,
+        "\167\r\000\000\000\007\000\000\000\002\001\000\000\000\000\000\248\127" );
+      (reply j 7 Frame.Bad_request nan, "{\"id\":7,\"status\":\"bad_request\"}\n");
+      ( reply b 7 Frame.Bad_request nan,
+        "\167\r\000\000\000\007\000\000\000\003\001\000\000\000\000\000\248\127" );
+      ( reply j 7 Frame.Shutting_down nan,
+        "{\"id\":7,\"status\":\"shutting_down\"}\n" );
+      ( reply b 7 Frame.Shutting_down nan,
+        "\167\r\000\000\000\007\000\000\000\004\001\000\000\000\000\000\248\127" );
+      ( reply j 123456789 Frame.Ok (-2.5e-300),
+        "{\"id\":123456789,\"status\":\"ok\",\"value\":-2.5e-300}\n" );
+      ( reply b 123456789 Frame.Ok (-2.5e-300),
+        "\167\r\000\000\000\021\205[\007\000/0\183\179\167\201\186\129" );
+      (reply j (-1) Frame.Bad_request nan, "{\"id\":-1,\"status\":\"bad_request\"}\n");
+      ( reply b (-1) Frame.Bad_request nan,
+        "\167\r\000\000\000\255\255\255\255\003\001\000\000\000\000\000\248\127" );
+      ( reply b 0 Frame.Ok 1.25,
+        "\167\r\000\000\000\000\000\000\000\000\000\000\000\000\000\000\244?" );
+      (reply j 0 Frame.Ok 1.25, "{\"id\":0,\"status\":\"ok\",\"value\":1.25}\n");
+      (reply j 3 Frame.Ok Float.infinity, "{\"id\":3,\"status\":\"ok\",\"value\":null}\n");
+      ( (j, Frame.Reload_reply { ok = true; detail = "m.model" }),
+        "{\"reload\":\"ok\",\"detail\":\"m.model\"}\n" );
+      ( (j, Frame.Reload_reply { ok = false; detail = "bad \"path\"\n\t\\ \001" }),
+        "{\"reload\":\"failed\",\"detail\":\"bad \\\"path\\\"\\n\\t\\\\ \\u0001\"}\n" );
+    ]
 
 (* QCheck: any request, any split of the byte stream, decodes back. *)
 let qcheck_chunked_roundtrip =
@@ -352,11 +397,17 @@ let test_roundtrip_daemon () =
   Alcotest.(check bool) "cache saw hits" true
     (s.Daemon.cache.Core.Memo.hits > 0)
 
-(* a raw socket lets the test speak broken protocol on purpose *)
-let raw_connect sock =
+(* a raw socket lets the test speak broken protocol on purpose; the
+   connect retries while the daemon's domain is still binding *)
+let rec raw_connect ?(tries = 250) sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  fd
+  match Unix.connect fd (Unix.ADDR_UNIX sock) with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+    when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.004;
+      raw_connect ~tries:(tries - 1) sock
 
 let raw_send fd s =
   let b = Bytes.of_string s in
@@ -531,6 +582,143 @@ let test_hot_reload () =
     [ path_a; path_b; path_bad ]
 
 (* ---------------------------------------------------------------- *)
+(* Egress: partial writes, slow readers, peers that hang up         *)
+(* ---------------------------------------------------------------- *)
+
+let request_burst wire points =
+  let b = Buffer.create (Array.length points * 96) in
+  Array.iteri
+    (fun i p ->
+      Buffer.add_string b
+        (Frame.encode_request wire (Frame.Predict { id = i; point = p; natural = false })))
+    points;
+  Buffer.contents b
+
+(* Send [data], tolerating a daemon that hangs up part-way. *)
+let send_until_hangup fd data =
+  try raw_send fd data
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
+(* A client sends every request before reading anything, so the replies
+   overrun the socket buffer and the daemon's writes come up short; then
+   it reads a few bytes at a time.  Every reply must still arrive, in
+   order and exact, and count as answered. *)
+let test_partial_writes () =
+  let predictor = tiny_predictor () in
+  List.iter
+    (fun (wire, n) ->
+      let sock, control, dom =
+        start_daemon
+          ~tweak:(fun c -> { c with Daemon.deadline_ns = 60_000_000_000L })
+          predictor
+      in
+      let points = grid_points ~seed:21 n in
+      let fd = raw_connect sock in
+      raw_send fd (request_burst wire points);
+      let d = Frame.decoder () in
+      let chunk = Bytes.create 7 in
+      let got = ref 0 in
+      while !got < n do
+        let k = Unix.read fd chunk 0 (Bytes.length chunk) in
+        if k = 0 then Alcotest.failf "daemon hung up after %d replies" !got;
+        Frame.feed d chunk 0 k;
+        let continue = ref true in
+        while !continue do
+          match Frame.next_response d with
+          | `Msg (Frame.Reply { id; status; value }, w) ->
+              if id <> !got || status <> Frame.Ok || w <> wire then
+                Alcotest.failf "reply %d: id %d, status %s" !got id
+                  (Frame.status_name status);
+              let expect =
+                Rbf.Network.eval predictor.Core.Predictor.network points.(id)
+              in
+              if not (Int64.equal (bits expect) (bits value)) then
+                Alcotest.failf "reply %d differs from the scalar oracle" id;
+              incr got
+          | `Msg (Frame.Reload_reply _, _) -> Alcotest.fail "reload reply"
+          | `Error e -> Alcotest.failf "protocol error: %s" e
+          | `Need_more -> continue := false
+        done
+      done;
+      Unix.close fd;
+      let s = stop_daemon control dom in
+      Alcotest.(check int) "requests" n s.Daemon.requests;
+      Alcotest.(check int) "answered = requests" n s.Daemon.answered;
+      Alcotest.(check int) "lost none" 0 s.Daemon.lost)
+    (* 295 KB of binary and ~450 KB of JSON replies: past the socket
+       buffer, within the default max_egress *)
+    [ (Frame.Binary_wire, 16384); (Frame.Json_wire, 8192) ]
+
+(* A peer that never reads is cut off once its egress window passes
+   max_egress; everyone else keeps being served. *)
+let test_slow_reader_disconnected () =
+  let predictor = tiny_predictor () in
+  let obs = Obs.create () in
+  let sock, control, dom =
+    start_daemon ~obs
+      ~tweak:(fun c -> { c with Daemon.max_egress = 4096 })
+      predictor
+  in
+  let points = grid_points ~seed:22 512 in
+  let burst = request_burst Frame.Binary_wire points in
+  let fd = raw_connect sock in
+  (* up to 100 bursts: 900 KB of replies, far past socket buffer plus
+     window; the daemon hangs up long before *)
+  for _ = 1 to 100 do
+    send_until_hangup fd burst
+  done;
+  Unix.close fd;
+  let c = Client.connect (Daemon.Unix_socket sock) in
+  Array.iteri (fun i p -> Client.predict c Frame.Binary_wire ~id:i p) points;
+  Array.iteri
+    (fun i p ->
+      let r = recv_reply c in
+      let expect = Rbf.Network.eval predictor.Core.Predictor.network p in
+      Alcotest.(check int) "id" i r.id;
+      Alcotest.(check bool) "others still served exactly" true
+        (Int64.equal (bits expect) (bits r.value)))
+    points;
+  Client.close c;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "one overflow" 1
+    (Obs.counter obs "served.egress_overflow");
+  Alcotest.(check bool) "the cut-off peer's replies are lost" true
+    (s.Daemon.lost > 0);
+  Alcotest.(check int) "every request answered or lost" s.Daemon.requests
+    (s.Daemon.answered + s.Daemon.lost)
+
+(* Peers that send a burst and close without reading: the daemon's
+   writes to them fail with EPIPE, which must cost those connections
+   only -- never a SIGPIPE that ends the process. *)
+let test_burst_and_close () =
+  let predictor = tiny_predictor () in
+  let sock, control, dom = start_daemon predictor in
+  let burst = request_burst Frame.Json_wire (grid_points ~seed:23 4000) in
+  for _ = 1 to 5 do
+    let fd = raw_connect sock in
+    send_until_hangup fd burst;
+    Unix.close fd
+  done;
+  let points = grid_points ~seed:24 32 in
+  let c = Client.connect (Daemon.Unix_socket sock) in
+  List.iter
+    (fun wire ->
+      Array.iteri (fun i p -> Client.predict c wire ~id:i p) points;
+      Array.iteri
+        (fun i p ->
+          let r = recv_reply c in
+          let expect = Rbf.Network.eval predictor.Core.Predictor.network p in
+          Alcotest.(check int) "id" i r.id;
+          Alcotest.(check bool) "fresh connection exact" true
+            (Int64.equal (bits expect) (bits r.value)))
+        points)
+    [ Frame.Json_wire; Frame.Binary_wire ];
+  Client.close c;
+  let s = stop_daemon control dom in
+  Alcotest.(check int) "every request answered or lost" s.Daemon.requests
+    (s.Daemon.answered + s.Daemon.lost)
+
+(* ---------------------------------------------------------------- *)
 (* The fault matrix                                                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -657,6 +845,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_garbage_total;
           Alcotest.test_case "oversized frames" `Quick
             test_oversized_frame_is_error;
+          Alcotest.test_case "response golden bytes" `Quick
+            test_response_golden;
         ] );
       ( "daemon",
         [
@@ -672,5 +862,11 @@ let () =
             test_fault_matrix;
           Alcotest.test_case "1 vs 4 domains bit-identical" `Quick
             test_domains_bit_identical;
+          Alcotest.test_case "partial writes, both framings" `Quick
+            test_partial_writes;
+          Alcotest.test_case "slow reader cut at max_egress" `Quick
+            test_slow_reader_disconnected;
+          Alcotest.test_case "burst-and-close peers" `Quick
+            test_burst_and_close;
         ] );
     ]
