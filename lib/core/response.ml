@@ -84,8 +84,12 @@ let simulator_metric ?(obs = Archpred_obs.null) ?(trace_length = 100_000)
     Archpred_workloads.Generator.generate ~seed profile ~length:trace_length
   in
   (* The decoded streams are shared by every simulation of this response;
-     built on first use so responses that never simulate stay free. *)
+     built on first use so responses that never simulate stay free.
+     Simulations run on pool domains, and in OCaml 5 forcing a lazy that
+     another domain is forcing raises, so the first force is serialised. *)
   let plan = lazy (Sim.Batch.plan trace) in
+  let plan_lock = Mutex.create () in
+  let shared_plan () = Mutex.protect plan_lock (fun () -> Lazy.force plan) in
   let of_result cfg (result : Sim.Processor.result) =
     match metric with
     | Cpi -> result.Sim.Processor.cpi
@@ -101,16 +105,18 @@ let simulator_metric ?(obs = Archpred_obs.null) ?(trace_length = 100_000)
     Archpred_obs.incr obs "sim.runs";
     Archpred_obs.count obs "sim.instructions" trace_length;
     let cfg = to_config p in
-    of_result cfg (Sim.Processor.run cfg trace)
+    (* one config on the calling domain: [raw] already runs inside the
+       caller's parallel map *)
+    of_result cfg (Sim.Batch.run_plan ~domains:1 (shared_plan ()) [| cfg |]).(0)
   in
-  (* The batched path decodes the trace once and fans the configs out;
-     [Sim.Batch] is bit-identical to [Processor.run], so memoised values
-     are the same whichever path computed them. *)
+  (* The batched path fans the configs out over the same plan.  Both paths
+     are [Sim.Batch], which is bit-identical to [Processor.run], so
+     memoised values are the same whichever path computed them. *)
   let raw_many ?domains ps =
     Archpred_obs.count obs "sim.runs" (Array.length ps);
     Archpred_obs.count obs "sim.instructions" (trace_length * Array.length ps);
     let configs = Array.map to_config ps in
-    let results = Sim.Batch.run_plan ?domains (Lazy.force plan) configs in
+    let results = Sim.Batch.run_plan ?domains (shared_plan ()) configs in
     Array.map2 of_result configs results
   in
   memoized ~many:raw_many (profile.name ^ ":" ^ metric_to_string metric) raw

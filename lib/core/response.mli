@@ -40,9 +40,11 @@ val simulator :
     cache miss bumps the ["sim.runs"] and ["sim.instructions"] counters on
     [obs] (domain-safe — evaluation happens on worker domains).
 
-    The response carries a batched evaluator built on {!Archpred_sim.Batch}:
-    {!evaluate_many} decodes the trace once and fans un-memoised points out
-    across configurations (bit-identical to the pointwise path).
+    Every simulation runs on {!Archpred_sim.Batch} over one decoded plan of
+    the trace, built on first use: a pointwise [eval] simulates its point as
+    a batch of one, and {!evaluate_many} fans un-memoised points out across
+    configurations.  Both are bit-identical to
+    {!Archpred_sim.Processor.run}.
 
     [to_config] decodes points into simulator configurations (default
     {!Paper_space.to_config}); pass {!Paper_space.to_config_extended} to

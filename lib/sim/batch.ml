@@ -12,6 +12,9 @@ module Parallel = Archpred_stats.Parallel
    config pipeline walk out across the batch (optionally across
    domains).
 
+   The L1 warm-up is shared the same way, per distinct L1 geometry (see
+   "Shared L1 warm-up" below).
+
    The per-config engine below is a transliteration of
    [Processor.run]'s cycle loop with three structural accelerations,
    each argued semantics-preserving and enforced bit-identical by the
@@ -48,7 +51,18 @@ module Parallel = Archpred_stats.Parallel
      re-enters the quiet path), the jump is capped at the cycle limit
      so [Cycle_limit_exceeded] fires at the same count, and during a
      quiet stretch every per-cycle counter increment is the same one,
-     so multiplication reproduces the reference totals exactly. *)
+     so multiplication reproduces the reference totals exactly.
+
+   The cycle loop also keeps C and generic calls out of its body: the
+   functional units are claimed through an int table local to this
+   module ([fu_claim]) instead of [Fu_pool.try_issue], whose per-cycle
+   [Array.fill] is a C call; the candidate list shifts with an OCaml loop
+   instead of [Array.blit]; and every min/max is int-typed, since the
+   polymorphic [Stdlib.min]/[max] compile to a generic compare call.
+   Calls into [Memory] remain: under dune's dev profile each module is
+   compiled [-opaque], so such a call is an indirect [caml_applyN]
+   rather than a direct or inlined one, and only the memory accesses
+   themselves still pay it. *)
 
 type plan = {
   n : int;
@@ -192,23 +206,171 @@ let same_branch (a : Branch_predictor.config) (b : Branch_predictor.config) =
   && a.Branch_predictor.btb_entries = b.Branch_predictor.btb_entries
 
 (* ------------------------------------------------------------------ *)
+(* Shared L1 warm-up                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The warm replay touches each L1 with its own stream only: the IL1
+   sees every change of fetch line, the DL1 every load and store, and
+   nothing else (the prefetcher fills the L2).  Which accesses hit and
+   which lines they evict depend on the cache's geometry alone; latency
+   only times an access.  An L1's final warm state, and the instructions
+   whose access missed it, are therefore the same for every config with
+   that geometry, so [run_plan] replays each distinct geometry once.
+
+   What a miss does next is per config: the L2, the DRAM reservations
+   (which depend on the cycle the miss reaches them) and the prefetcher.
+   Each config copies the two warm L1 states and replays just the merged
+   miss stream through its own [Memory.l1_miss]/[store_miss], in the
+   reference's order: by instruction, the fetch before the data access
+   of the same instruction; a fetch or load at cycle 0 reaches the L2
+   at its L1's latency, a store at cycle 0. *)
+
+type warm_l1 = {
+  state : Cache.t;  (* the L1 after the full warm replay *)
+  missed : Bytes.t;  (* bit [i land 7] of byte [i lsr 3]: access [i] missed *)
+}
+
+let warm_l1 p ccfg ~fetch =
+  let c = Cache.create ccfg in
+  let missed = Bytes.make ((p.n + 7) lsr 3) '\000' in
+  let miss i =
+    let b = Char.code (Bytes.get missed (i lsr 3)) in
+    Bytes.set missed (i lsr 3) (Char.chr (b lor (1 lsl (i land 7))))
+  in
+  if fetch then begin
+    let line_shift = log2 ccfg.Cache.line_bytes in
+    let cur_line = ref (-1) in
+    for i = 0 to p.n - 1 do
+      let line = p.pc.(i) lsr line_shift in
+      if line <> !cur_line then begin
+        cur_line := line;
+        if not (Cache.access c p.pc.(i)) then miss i
+      end
+    done
+  end
+  else
+    for i = 0 to p.n - 1 do
+      let o = p.op.(i) in
+      if (o = op_load || o = op_store) && not (Cache.access c p.addr.(i))
+      then miss i
+    done;
+  { state = c; missed }
+
+let warm_memory p mem ~il1 ~dl1 =
+  Cache.copy_state ~src:il1.state ~dst:(Memory.il1 mem);
+  Cache.copy_state ~src:dl1.state ~dst:(Memory.dl1 mem);
+  let il1_done = Cache.latency (Memory.il1 mem) in
+  let dl1_done = Cache.latency (Memory.dl1 mem) in
+  (* Eight instructions per flag byte; most bytes of both streams are
+     zero, and only a set bit costs a memory-system call. *)
+  for k = 0 to Bytes.length il1.missed - 1 do
+    let f = Char.code (Bytes.get il1.missed k) in
+    let d = Char.code (Bytes.get dl1.missed k) in
+    if f lor d <> 0 then
+      for b = 0 to 7 do
+        let i = (k lsl 3) + b in
+        if (f lsr b) land 1 <> 0 then
+          ignore (Memory.l1_miss mem ~cycle:il1_done ~addr:p.pc.(i));
+        if (d lsr b) land 1 <> 0 then
+          if p.op.(i) = op_load then
+            ignore (Memory.l1_miss mem ~cycle:dl1_done ~addr:p.addr.(i))
+          else Memory.store_miss mem ~cycle:0 ~addr:p.addr.(i)
+      done
+  done;
+  Memory.reset_stats mem
+
+(* The distinct values of [key] over [configs] under [same], in order of
+   first appearance, and each config's index into them. *)
+let distinct same key configs =
+  let reps = ref [] and count = ref 0 in
+  let index =
+    Array.map
+      (fun cfg ->
+        let k = key cfg in
+        match List.find_opt (fun (r, _) -> same r k) !reps with
+        | Some (_, j) -> j
+        | None ->
+            reps := (k, !count) :: !reps;
+            incr count;
+            !count - 1)
+      configs
+  in
+  (Array.of_list (List.rev_map fst !reps), index)
+
+(* ------------------------------------------------------------------ *)
 (* Per-config engine                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let warm_memory p cfg mem =
-  let line_shift = log2 cfg.Config.line_bytes in
-  let cur_line = ref (-1) in
-  for i = 0 to p.n - 1 do
-    let line = p.pc.(i) lsr line_shift in
-    if line <> !cur_line then begin
-      cur_line := line;
-      ignore (Memory.fetch mem ~cycle:0 ~addr:p.pc.(i))
+let imin (a : int) b = if a <= b then a else b
+
+(* Functional units as int tables, per class index: [count] units,
+   [lat] latency, and for a pipelined class the grants made in cycle
+   [stamp]; an unpipelined class owns [unit_free.(unit0 ..
+   unit0 + count - 1)], the cycle each unit frees up ([unit0] is -1 for
+   a pipelined class). *)
+type fu = {
+  count : int array;
+  lat : int array;
+  granted : int array;
+  stamp : int array;
+  unit0 : int array;
+  unit_free : int array;
+}
+
+let fu_create (fcfg : Fu_pool.config) =
+  let k = Array.length Fu_pool.classes in
+  let count = Array.map (Fu_pool.count fcfg) Fu_pool.classes in
+  let unit0 = Array.make k (-1) in
+  let units = ref 0 in
+  Array.iteri
+    (fun c cls ->
+      if not (Fu_pool.is_pipelined cls) then begin
+        unit0.(c) <- !units;
+        units := !units + count.(c)
+      end)
+    Fu_pool.classes;
+  {
+    count;
+    lat = Array.map (Fu_pool.latency fcfg) Fu_pool.classes;
+    granted = Array.make k 0;
+    stamp = Array.make k (-1);
+    unit0;
+    unit_free = Array.make (max 1 !units) 0;
+  }
+
+(* [Fu_pool.try_issue] for class index [c] in cycle [now]: a pipelined
+   class grants up to [count] issues per cycle (the stamp restarts the
+   count in a new cycle, where the reference clears every class's count
+   with [Array.fill]); an unpipelined class takes its first unit that is
+   free by [now] and holds it for the class latency.  [c] is a class
+   index below the tables' length, and an unpipelined class's units lie
+   inside [unit_free] by construction. *)
+let fu_claim fu c now =
+  let u0 = Array.unsafe_get fu.unit0 c in
+  if u0 < 0 then begin
+    if Array.unsafe_get fu.stamp c <> now then begin
+      Array.unsafe_set fu.stamp c now;
+      Array.unsafe_set fu.granted c 0
     end;
-    let o = p.op.(i) in
-    if o = op_load then ignore (Memory.load mem ~cycle:0 ~addr:p.addr.(i))
-    else if o = op_store then Memory.store mem ~cycle:0 ~addr:p.addr.(i)
-  done;
-  Memory.reset_stats mem
+    let g = Array.unsafe_get fu.granted c in
+    if g < Array.unsafe_get fu.count c then begin
+      Array.unsafe_set fu.granted c (g + 1);
+      true
+    end
+    else false
+  end
+  else begin
+    let u = ref u0 in
+    let last = u0 + Array.unsafe_get fu.count c in
+    while !u < last && Array.unsafe_get fu.unit_free !u > now do
+      incr u
+    done;
+    if !u < last then begin
+      Array.unsafe_set fu.unit_free !u (now + Array.unsafe_get fu.lat c);
+      true
+    end
+    else false
+  end
 
 (* Store-queue scan for a load: walk the older-store chain from [pr].
    [-1] no older store in the window (go to memory); [-2] blocked on an
@@ -240,8 +402,10 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
       ~il1:(Config.il1_config cfg) ~dl1:(Config.dl1_config cfg)
       ~l2:(Config.l2_config cfg) ~dram:cfg.Config.dram ()
   in
-  if warm then warm_memory p cfg mem;
-  let fu = Fu_pool.create cfg.Config.fu in
+  (match warm with
+  | Some (il1, dl1) -> warm_memory p mem ~il1 ~dl1
+  | None -> ());
+  let fu = fu_create cfg.Config.fu in
   let rob = cfg.Config.rob_size in
   (* Slot arrays are sized to the next power of two so the instruction →
      slot map is a mask, not a division.  Any two in-flight indices
@@ -264,12 +428,21 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
   let pipe_depth = cfg.Config.pipe_depth in
   let mis = stream.mis in
   let issue_delay = max 1 (pipe_depth / 4) in
-  let fu_cls = Array.map Fu_pool.class_of_opcode (Array.map Opcode.of_int (Array.init 11 Fun.id)) in
-  let fu_lat =
-    Array.map
-      (function None -> 0 | Some c -> Fu_pool.latency cfg.Config.fu c)
-      fu_cls
-  in
+  (* Per opcode: the functional-unit class index (-1: none) and the
+     cycles from issue to completion (a store completes the next cycle;
+     a load's completion comes from the memory system). *)
+  let fu_cls = Array.make 11 (-1) in
+  let fu_done = Array.make 11 0 in
+  List.iter
+    (fun op ->
+      let o = Opcode.to_int op in
+      match Fu_pool.class_of_opcode op with
+      | None -> ()
+      | Some cls ->
+          fu_cls.(o) <- Fu_pool.class_index cls;
+          fu_done.(o) <-
+            (if o = op_store then 1 else Fu_pool.latency cfg.Config.fu cls))
+    Opcode.all;
 
   let slot_complete = Array.make slot_size 0 in
   let slot_issued = Bytes.make slot_size '\000' in
@@ -326,14 +499,18 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
      The map and the issued test are written out at each use: as local
      functions they would be real calls on every loop iteration. *)
   let cand_insert i t =
+    (* Insertion shift as an OCaml loop: it moves about half an element
+       on average, far less than the two [Array.blit] C calls it
+       replaces.  [ins_at] stays within [1, cand_n] <= rob - 1 while
+       shifting, and the list never holds more than [rob] entries. *)
     ins_at := !cand_n;
-    while !ins_at > 0 && cand_i.(!ins_at - 1) > i do
+    while !ins_at > 0 && Array.unsafe_get cand_i (!ins_at - 1) > i do
+      Array.unsafe_set cand_i !ins_at (Array.unsafe_get cand_i (!ins_at - 1));
+      Array.unsafe_set cand_t !ins_at (Array.unsafe_get cand_t (!ins_at - 1));
       decr ins_at
     done;
-    Array.blit cand_i !ins_at cand_i (!ins_at + 1) (!cand_n - !ins_at);
-    Array.blit cand_t !ins_at cand_t (!ins_at + 1) (!cand_n - !ins_at);
-    cand_i.(!ins_at) <- i;
-    cand_t.(!ins_at) <- t;
+    Array.unsafe_set cand_i !ins_at i;
+    Array.unsafe_set cand_t !ins_at t;
     incr cand_n
   in
   (* Producer [d] issued completing at [complete]: push the wakeup to
@@ -415,28 +592,19 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
             incr attempts;
             let s = i land slot_mask in
             let o = Array.unsafe_get p.op i in
+            let c = Array.unsafe_get fu_cls o in
             let complete =
               if o = op_load then begin
                 let sc = store_scan i in
-                if sc = -2 then -1
-                else if
-                  not (Fu_pool.try_issue fu ~cycle:now Fu_pool.Mem_port)
-                then -1
-                else if sc >= 0 then max (now + 1) (sc + 1)
+                if sc = -2 || not (fu_claim fu c now) then -1
+                else if sc >= now then sc + 1
+                else if sc >= 0 then now + 1
                 else
                   Memory.load mem ~cycle:now ~addr:(Array.unsafe_get p.addr i)
               end
-              else if o = op_store then
-                if Fu_pool.try_issue fu ~cycle:now Fu_pool.Mem_port then
-                  now + 1
-                else -1
-              else
-                match fu_cls.(o) with
-                | None -> now
-                | Some cls ->
-                    if Fu_pool.try_issue fu ~cycle:now cls then
-                      now + fu_lat.(o)
-                    else -1
+              else if c < 0 then now
+              else if fu_claim fu c now then now + Array.unsafe_get fu_done o
+              else -1
             in
             if complete >= 0 then begin
               Bytes.unsafe_set slot_issued s '\001';
@@ -605,11 +773,13 @@ let simulate p cfg ~max_cycles ~warm ~(stream : bp_stream) =
         if Array.unsafe_get cand_t r < !next_issue then
           next_issue := Array.unsafe_get cand_t r
       done;
-      let next_fetch =
-        if !tail < n && now < !fetch_resume then !fetch_resume else max_int
-      in
-      let target = min next_commit (min !next_issue next_fetch) in
-      let target = min target (max_cycles + 1) in
+      (* The fetch restart ends a quiet stretch even once the whole trace
+         is fetched: the reference counts a fetch stall in every cycle
+         before [fetch_resume] and none after, so a skip past it would
+         over-count the stall. *)
+      let next_fetch = if now < !fetch_resume then !fetch_resume else max_int in
+      let target = imin next_commit (imin !next_issue next_fetch) in
+      let target = imin target (max_cycles + 1) in
       let target = if target <= now then now + 1 else target in
       let k = target - now - 1 in
       if k > 0 then begin
@@ -683,25 +853,33 @@ let run_plan ?max_cycles ?(warm = true) ?domains p configs =
   let max_cycles =
     match max_cycles with Some m -> m | None -> (200 * p.n) + 10_000_000
   in
-  (* one mispredict stream per distinct predictor configuration,
-     computed up front so the fan-out below only reads shared state *)
-  let classes = ref [] in
-  let streams =
-    Array.map
-      (fun cfg ->
-        let bcfg = cfg.Config.branch in
-        match
-          List.find_opt (fun (b, _) -> same_branch b bcfg) !classes
-        with
-        | Some (_, s) -> s
-        | None ->
-            let s = branch_stream p ~warm bcfg in
-            classes := (bcfg, s) :: !classes;
-            s)
-      configs
+  (* One mispredict stream per distinct predictor configuration and one
+     warm state per distinct L1 geometry, computed up front so the
+     fan-out below only reads shared state.  They live for this call
+     only. *)
+  let branches, branch_of = distinct same_branch (fun c -> c.Config.branch) configs in
+  let streams = Array.map (branch_stream p ~warm) branches in
+  let il1s, il1_of = distinct Cache.same_geometry Config.il1_config configs in
+  let dl1s, dl1_of = distinct Cache.same_geometry Config.dl1_config configs in
+  let warm_l1s =
+    if warm then
+      Parallel.init ?domains
+        (Array.length il1s + Array.length dl1s)
+        (fun k ->
+          if k < Array.length il1s then warm_l1 p il1s.(k) ~fetch:true
+          else warm_l1 p dl1s.(k - Array.length il1s) ~fetch:false)
+    else [||]
   in
   Parallel.init ?domains (Array.length configs) (fun i ->
-      simulate p configs.(i) ~max_cycles ~warm ~stream:streams.(i))
+      let warm =
+        if warm then
+          Some
+            ( warm_l1s.(il1_of.(i)),
+              warm_l1s.(Array.length il1s + dl1_of.(i)) )
+        else None
+      in
+      simulate p configs.(i) ~max_cycles ~warm
+        ~stream:streams.(branch_of.(i)))
 
 let run ?max_cycles ?warm ?domains configs trace =
   run_plan ?max_cycles ?warm ?domains (plan trace) configs

@@ -11,6 +11,11 @@
     - the branch predictor interacts with the trace in pure program
       order, so its per-branch mispredict outcomes are computed once
       per distinct predictor configuration and shared;
+    - an L1's warm-up state depends only on its geometry (size, line,
+      associativity, policy — not latency), so each distinct IL1 and DL1
+      geometry is warmed once; every config copies the warm L1 states and
+      replays only the L1 misses through its own L2 and DRAM.  These
+      shared states live for one [run_plan] call;
     - the per-config cycle walk skips provably quiet stretches (cache
       fills, misprediction refills, long dependency chains) in one
       jump instead of cycling through them.

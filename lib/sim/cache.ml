@@ -83,6 +83,29 @@ let create cfg =
     misses = 0;
   }
 
+let same_policy a b =
+  match (a, b) with
+  | Policy.Lru, Policy.Lru
+  | Policy.Tree_plru, Policy.Tree_plru
+  | Policy.Qlru, Policy.Qlru
+  | Policy.Mru, Policy.Mru ->
+      true
+  | (Policy.Lru | Policy.Tree_plru | Policy.Qlru | Policy.Mru), _ -> false
+
+let same_geometry a b =
+  a.size_bytes = b.size_bytes
+  && a.line_bytes = b.line_bytes
+  && a.associativity = b.associativity
+  && same_policy a.policy b.policy
+
+let copy_state ~src ~dst =
+  if not (same_geometry src.cfg dst.cfg) then
+    invalid_arg "Cache.copy_state: geometries differ";
+  Array.blit src.tags 0 dst.tags 0 (Array.length src.tags);
+  Array.blit src.age 0 dst.age 0 (Array.length src.age);
+  Array.blit src.tree 0 dst.tree 0 (Array.length src.tree);
+  dst.clock <- src.clock
+
 let latency t = t.cfg.latency
 let sets t = t.set_count
 let ways t = t.cfg.associativity

@@ -50,9 +50,22 @@ val config :
     space can vary cache capacity continuously rather than in power-of-two
     jumps. *)
 
+val same_geometry : config -> config -> bool
+(** Same capacity, line size, associativity and policy.  Latency is not
+    compared: it times an access but never changes which line an access
+    hits or evicts. *)
+
 type t
 
 val create : config -> t
+
+val copy_state : src:t -> dst:t -> unit
+(** [copy_state ~src ~dst] gives [dst] the lookup state of [src]: tags,
+    recency (age stamps, tree bits) and the access clock.  From then on the
+    two answer every access sequence with the same hits and misses.
+    Statistics are not copied.  Raises [Invalid_argument] unless the two
+    caches' configs satisfy {!same_geometry}. *)
+
 val latency : t -> int
 val sets : t -> int
 val ways : t -> int

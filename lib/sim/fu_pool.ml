@@ -43,6 +43,8 @@ let spec cfg = function
 let latency cfg c = snd (spec cfg c)
 let count cfg c = fst (spec cfg c)
 
+let classes = [| Int_alu; Int_mul; Int_div; Fp_add; Fp_mul; Fp_div; Mem_port |]
+
 let class_index = function
   | Int_alu -> 0
   | Int_mul -> 1
@@ -68,15 +70,12 @@ type t = {
   mutable refused : int;
 }
 
-let all_classes =
-  [| Int_alu; Int_mul; Int_div; Fp_add; Fp_mul; Fp_div; Mem_port |]
-
 let create cfg =
   {
     cfg;
     granted = Array.make 7 0;
     granted_cycle = -1;
-    busy_until = Array.map (fun c -> Array.make (count cfg c) 0) all_classes;
+    busy_until = Array.map (fun c -> Array.make (count cfg c) 0) classes;
     refused = 0;
   }
 

@@ -28,6 +28,16 @@ val class_of_opcode : Opcode.t -> unit_class option
 val latency : config -> unit_class -> int
 val count : config -> unit_class -> int
 
+val classes : unit_class array
+(** Every class, in {!class_index} order. *)
+
+val class_index : unit_class -> int
+(** Dense index of a class, [0 .. Array.length classes - 1]. *)
+
+val is_pipelined : unit_class -> bool
+(** [false] for the divide classes, whose units stay busy for the whole
+    operation. *)
+
 type t
 
 val create : config -> t

@@ -17,10 +17,10 @@ let create ?(l2_prefetch = false) ~il1 ~dl1 ~l2 ~dram () =
     line_bytes = l2.Cache.line_bytes;
   }
 
-let through_l2 t ~addr ~after_l1 =
-  if Cache.access t.l2 addr then after_l1 + Cache.latency t.l2
+let l1_miss t ~cycle ~addr =
+  if Cache.access t.l2 addr then cycle + Cache.latency t.l2
   else begin
-    let start = after_l1 + Cache.latency t.l2 in
+    let start = cycle + Cache.latency t.l2 in
     let finish = Dram.access t.dram ~cycle:start ~addr in
     if t.l2_prefetch then begin
       (* Next-line prefetch: fill the following line if absent.  The
@@ -38,18 +38,17 @@ let through_l2 t ~addr ~after_l1 =
 
 let fetch t ~cycle ~addr =
   let after_l1 = cycle + Cache.latency t.il1 in
-  if Cache.access t.il1 addr then after_l1
-  else through_l2 t ~addr ~after_l1
+  if Cache.access t.il1 addr then after_l1 else l1_miss t ~cycle:after_l1 ~addr
 
 let load t ~cycle ~addr =
   let after_l1 = cycle + Cache.latency t.dl1 in
-  if Cache.access t.dl1 addr then after_l1
-  else through_l2 t ~addr ~after_l1
+  if Cache.access t.dl1 addr then after_l1 else l1_miss t ~cycle:after_l1 ~addr
+
+let store_miss t ~cycle ~addr =
+  if not (Cache.access t.l2 addr) then ignore (Dram.access t.dram ~cycle ~addr)
 
 let store t ~cycle ~addr =
-  if not (Cache.access t.dl1 addr) then
-    if not (Cache.access t.l2 addr) then
-      ignore (Dram.access t.dram ~cycle ~addr)
+  if not (Cache.access t.dl1 addr) then store_miss t ~cycle ~addr
 
 let il1 t = t.il1
 let dl1 t = t.dl1
@@ -60,5 +59,4 @@ let reset_stats t =
   Cache.reset_stats t.il1;
   Cache.reset_stats t.dl1;
   Cache.reset_stats t.l2;
-  Dram.reset_stats t.dram;
   Dram.reset_stats t.dram

@@ -35,6 +35,18 @@ val store : t -> cycle:int -> addr:int -> unit
     and occupies DRAM resources on an L2 miss, but does not produce a
     completion time — stores retire without stalling. *)
 
+val l1_miss : t -> cycle:int -> addr:int -> int
+(** The rest of a {!fetch} or {!load} whose L1 lookup missed, the lookup
+    having finished at [cycle] (the issue cycle plus the L1 latency): the
+    L2 access, on an L2 miss the DRAM access and the next-line prefetch.
+    Returns the completion cycle.  [fetch] and [load] are an L1 access
+    followed by this on a miss, so replaying an L1 miss stream through
+    [l1_miss] leaves the L2 and DRAM exactly as the full accesses would. *)
+
+val store_miss : t -> cycle:int -> addr:int -> unit
+(** The rest of a {!store} whose DL1 lookup missed: the L2 access and, on
+    an L2 miss, the DRAM access at [cycle] (no prefetch). *)
+
 val il1 : t -> Cache.t
 val dl1 : t -> Cache.t
 val l2 : t -> Cache.t

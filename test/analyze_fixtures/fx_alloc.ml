@@ -16,3 +16,13 @@ let cool_add x =
 let hot_allowed x =
   (* archpred-analyze: allow hot-alloc -- fixture: the boxing is the point *)
   (x, x)
+
+(* Polymorphic compares in a hot path: [hot_max] calls the generic
+   [Stdlib.max] although its arguments are ints; [cool_int_compare]
+   uses [compare] at [int], which the compiler specialises, so the
+   checker must accept it; [hot_tuple_compare] compares tuples, which
+   stays generic. *)
+
+let hot_max (x : int) y = max x y
+let cool_int_compare (x : int) y = compare x y
+let hot_tuple_compare (a : int * int) b = compare a b

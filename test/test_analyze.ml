@@ -114,6 +114,30 @@ let test_alloc_pragma () =
   Alcotest.(check int) "and the pragma counts as used" 0
     (List.length (by_rule "unused-pragma" fs))
 
+let check_poly_flagged fn callee =
+  match allocs (run ~hotpaths:[ hot fn ] ()) with
+  | [ f ] ->
+      let m = f.Analyze.message in
+      let needle = "polymorphic compare call (" ^ callee ^ ")" in
+      let has =
+        let n = String.length needle in
+        let rec at i =
+          i + n <= String.length m && (String.sub m i n = needle || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) ("message names " ^ callee) true has
+  | fs -> Alcotest.failf "expected one hot-alloc, got %d" (List.length fs)
+
+let test_poly_max_detected () = check_poly_flagged "hot_max" "Stdlib.max"
+
+let test_poly_compare_detected () =
+  check_poly_flagged "hot_tuple_compare" "Stdlib.compare"
+
+let test_int_compare_ok () =
+  Alcotest.(check int) "compare at int is specialised" 0
+    (List.length (allocs (run ~hotpaths:[ hot "cool_int_compare" ] ())))
+
 let test_unknown_hotpath () =
   (* A manifest entry that names nothing is a loud failure — renames
      cannot silently drop coverage. *)
@@ -285,6 +309,10 @@ let () =
           Alcotest.test_case "purity transitive" `Quick test_purity_transitive;
           Alcotest.test_case "purity frontier" `Quick test_purity_frontier;
           Alcotest.test_case "purity barrier" `Quick test_purity_barrier;
+          Alcotest.test_case "poly max flagged" `Quick test_poly_max_detected;
+          Alcotest.test_case "poly compare flagged" `Quick
+            test_poly_compare_detected;
+          Alcotest.test_case "int compare accepted" `Quick test_int_compare_ok;
         ] );
       ( "engine",
         [

@@ -706,6 +706,50 @@ let test_policy_default_is_lru () =
   Alcotest.(check bool) "config default" true
     (Config.default.Config.cache_policy = Cache.Policy.Lru)
 
+(* [Cache.copy_state]: a cache given another's state answers a further
+   access stream hit for hit like the original, for every policy and
+   both a power-of-two and a modulo-indexed set count; the copy takes no
+   statistics and refuses a different geometry. *)
+let test_cache_copy_state () =
+  let lcg = ref 12345 in
+  let next_addr () =
+    lcg := ((!lcg * 1103515245) + 12345) land 0x3fffffff;
+    (* 48 lines' worth of addresses: enough to conflict in 16-32 lines *)
+    64 * ((!lcg lsr 8) mod 48)
+  in
+  Array.iter
+    (fun policy ->
+      List.iter
+        (fun size ->
+          let src = Cache.create (cache_cfg ~policy ~size ~assoc:4 ()) in
+          for _ = 1 to 500 do
+            ignore (Cache.access src (next_addr ()))
+          done;
+          let dst =
+            Cache.create (cache_cfg ~policy ~size ~assoc:4 ~latency:7 ())
+          in
+          Cache.copy_state ~src ~dst;
+          Alcotest.(check int) "no stats copied" 0 (Cache.stats dst).accesses;
+          for k = 1 to 500 do
+            let a = next_addr () in
+            let hs = Cache.access src a and hd = Cache.access dst a in
+            if hs <> hd then
+              Alcotest.failf "%s, %d bytes: access %d differs"
+                (Cache.Policy.to_string policy) size k
+          done)
+        [ 1024; 2048; 1536 ])
+    Cache.Policy.all;
+  let a = Cache.create (cache_cfg ~size:1024 ()) in
+  let b = Cache.create (cache_cfg ~size:2048 ()) in
+  let c = Cache.create (cache_cfg ~policy:Cache.Policy.Qlru ~size:1024 ()) in
+  List.iter
+    (fun (what, dst) ->
+      Alcotest.(check bool) what true
+        (match Cache.copy_state ~src:a ~dst with
+        | exception Invalid_argument _ -> true
+        | () -> false))
+    [ ("other size rejected", b); ("other policy rejected", c) ]
+
 (* ---------- Batched multi-config simulation ---------- *)
 
 module Batch = Sim.Batch
@@ -830,6 +874,114 @@ let test_batch_invalid_config () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Configs over a few L1 geometries per policy, each geometry shared by
+   configs that differ in what the shared L1 warm-up must keep per
+   config: IL1 and DL1 latency, the L2, the pipeline.  Within each
+   policy's block of four, configs 0 and 1 share the IL1, 1 and 2 the
+   DL1, and 3 has its own (non-power-of-two set count) pair. *)
+let l1_mix_configs ~prefetch =
+  let sizes = [| 2048; 4096; 6144 |] in
+  Array.init 16 (fun k ->
+      let j = k mod 4 in
+      let cfg =
+        Config.make
+          ~cache_policy:Cache.Policy.all.(k / 4)
+          ~pipe_depth:(8 + k) ~rob_size:(32 + (8 * j)) ~iq_size:16
+          ~lsq_size:16
+          ~l2_size:((1 lsl 17) lsl (k mod 3))
+          ~l2_latency:(6 + k)
+          ~il1_size:sizes.([| 0; 0; 1; 2 |].(j))
+          ~dl1_size:sizes.([| 0; 1; 1; 2 |].(j))
+          ~dl1_latency:(1 + ((k + j) mod 4))
+          ()
+      in
+      { cfg with Config.l2_prefetch = prefetch; il1_latency = 1 + (k mod 3) })
+
+let l1_mix_traces () =
+  [
+    Archpred_workloads.Generator.generate ~seed:21
+      Archpred_workloads.Spec2000.mcf ~length:3_000;
+    Archpred_workloads.Generator.generate ~seed:22
+      Archpred_workloads.Spec2000.crafty ~length:3_000;
+  ]
+
+let test_batch_shared_l1_warmup () =
+  List.iter
+    (fun trace ->
+      List.iter
+        (fun prefetch ->
+          let configs = l1_mix_configs ~prefetch in
+          check_batch_vs_reference
+            (Printf.sprintf "mixed L1 geometries, prefetch %b, warm" prefetch)
+            configs trace;
+          check_batch_vs_reference ~warm:false
+            (Printf.sprintf "mixed L1 geometries, prefetch %b, cold" prefetch)
+            configs trace)
+        [ true; false ])
+    (l1_mix_traces ())
+
+(* The warm replay's L1 misses reach the L2 and DRAM in the reference's
+   order and at the reference's cycles.  In [order], every instruction
+   misses both 2-line L1s and its code and data lines collide in one set
+   of a direct-mapped L2, so the fetch-before-data order decides which
+   line the warm L2 keeps, and with it whether the timed run's fetches
+   hit the L2.  In [timing], eight data lines collide in one L2 set and
+   one DRAM bank, so every load of the timed run queues behind the bank
+   reservations the warm-up left, which start at the DL1 latency plus
+   the L2 latency (at cycle 0 for stores, whose DRAM latencies show in
+   the timed run's average). *)
+let test_batch_warm_miss_replay () =
+  let sets = 64 in
+  let order =
+    Trace.of_array
+      (Array.init 64 (fun k ->
+           let i = k mod 8 in
+           inst ~op:Opcode.Load ~pc:(64 * i) ~addr:(64 * (i + sets)) ()))
+  in
+  let timing op =
+    Trace.of_array
+      (Array.init 64 (fun k ->
+           inst ~op ~pc:(512 + (4 * k)) ~addr:((65536 * (k mod 8)) + 4096) ()))
+  in
+  let cfg =
+    {
+      Config.default with
+      Config.il1_size = 128;
+      dl1_size = 128;
+      l2_size = 64 * sets;
+      l2_assoc = 1;
+    }
+  in
+  List.iter
+    (fun (name, trace) ->
+      check_batch_vs_reference name
+        [| cfg; { cfg with Config.dl1_latency = 3; il1_latency = 2 } |]
+        trace)
+    [
+      ("fetch before data", order);
+      ("load miss cycles", timing Opcode.Load);
+      ("store miss cycles", timing Opcode.Store);
+    ]
+
+(* A config's result does not depend on the batch around it: alone, in
+   the mixed batch, and with the batch spread over 1 or 4 domains. *)
+let test_batch_composition_independence () =
+  List.iter
+    (fun trace ->
+      let configs = l1_mix_configs ~prefetch:true in
+      let p = Batch.plan trace in
+      let one = Batch.run_plan ~domains:1 p configs in
+      let four = Batch.run_plan ~domains:4 p configs in
+      Array.iteri
+        (fun i cfg ->
+          let alone = (Batch.run_plan ~domains:1 p [| cfg |]).(0) in
+          if not (results_equal alone one.(i) && results_equal alone four.(i))
+          then
+            Alcotest.failf "config %d: alone@.%a@.in batch (1 domain)@.%a" i
+              Processor.pp_result alone Processor.pp_result one.(i))
+        configs)
+    (l1_mix_traces ())
+
 let prop_batch_bit_identity =
   qtest ~count:12 "Batch.run == Processor.run (random traces)"
     QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 3))
@@ -887,6 +1039,7 @@ let () =
           Alcotest.test_case "qlru insertion age" `Quick test_policy_qlru_insertion;
           Alcotest.test_case "mru trace" `Quick test_policy_mru_trace;
           Alcotest.test_case "default is lru" `Quick test_policy_default_is_lru;
+          Alcotest.test_case "copied state" `Quick test_cache_copy_state;
         ] );
       ( "batch",
         [
@@ -898,6 +1051,12 @@ let () =
           Alcotest.test_case "empty batch" `Quick test_batch_empty;
           Alcotest.test_case "invalid config" `Quick test_batch_invalid_config;
           prop_batch_bit_identity;
+          Alcotest.test_case "shared L1 warm-up, mixed geometries" `Quick
+            test_batch_shared_l1_warmup;
+          Alcotest.test_case "composition independence" `Quick
+            test_batch_composition_independence;
+          Alcotest.test_case "warm miss replay" `Quick
+            test_batch_warm_miss_replay;
         ] );
       ( "branch_predictor",
         [

@@ -13,7 +13,9 @@
    - hot-alloc: functions named in tools/analyze/hotpaths.sexp are
      checked for allocation sites (closures, tuples, records,
      constructor applications, arrays, partial application, escaping
-     ref cells, @@/|> indirection).
+     ref cells, @@/|> indirection) and for uses of the polymorphic
+     Stdlib.min/max/compare, which compile to a generic compare call
+     (compare is exempt at the base types the compiler specialises).
    - impure: effect seeds (RNG, wall clock, stdout, Unix networking)
      propagate through calls; a function whose scope bans an effect is
      flagged at the frontier where the effect enters it.
@@ -48,8 +50,9 @@ let rules =
        in tools/analyze/sanctions.sexp" );
     ( "hot-alloc",
       "allocation site (closure, tuple, record, constructor, array, \
-       partial application, escaping ref, @@/|> indirection) inside a \
-       function declared zero-alloc in tools/analyze/hotpaths.sexp" );
+       partial application, escaping ref, @@/|> indirection) or \
+       polymorphic Stdlib.min/max/compare call inside a function \
+       declared zero-alloc in tools/analyze/hotpaths.sexp" );
     ( "impure",
       "RNG / wall-clock / stdout / Unix-network effect reachable through \
        the call graph from code whose scope bans it" );
@@ -547,6 +550,38 @@ let keyed_roots ctx env args_e =
   in
   List.rev acc
 
+(* Stdlib.min and Stdlib.max are ordinary polymorphic functions: without
+   flambda every use is a call whose [>=]/[<=] is the generic C compare,
+   whatever the argument type.  Stdlib.compare is the [%compare]
+   primitive, which the compiler specialises at the base types below and
+   leaves generic everywhere else. *)
+let specialised_compare_types =
+  [
+    Predef.path_int; Predef.path_char; Predef.path_bool; Predef.path_float;
+    Predef.path_string; Predef.path_bytes; Predef.path_int32;
+    Predef.path_int64; Predef.path_nativeint;
+  ]
+
+let poly_compare ctx (f : expression) p =
+  match path_parts (expand_path ctx p) with
+  | [ "Stdlib"; (("min" | "max") as name) ] -> Some ("Stdlib." ^ name)
+  | [ "Stdlib"; "compare" ] -> (
+      match Types.get_desc (Ctype.expand_head f.exp_env f.exp_type) with
+      | Types.Tarrow (_, arg, _, _) -> (
+          match Types.get_desc (Ctype.expand_head f.exp_env arg) with
+          | Types.Tconstr (tp, [], _)
+            when List.exists (Path.same tp) specialised_compare_types ->
+              None
+          | _ -> Some "Stdlib.compare")
+      | _ -> Some "Stdlib.compare")
+  | _ -> None
+
+let check_poly_compare ctx cbs (f : expression) p =
+  match (cbs.on_alloc, poly_compare ctx f p) with
+  | Some report, Some name ->
+      report f.exp_loc ("polymorphic compare call (" ^ name ^ ")")
+  | _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* The walker                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -558,6 +593,7 @@ let rec walk ctx cbs env e =
       | Path.Pident id ->
           (match cbs.ref_use with Some f -> f id ~allowed:false | None -> ())
       | _ -> ());
+      check_poly_compare ctx cbs e p;
       let name = canon ctx p in
       let mask = effect_of_name name in
       if mask <> 0 then cbs.on_effect e.exp_loc mask name
@@ -698,6 +734,7 @@ and walk_apply ctx cbs env e f args =
       walk_args ();
       alloc_if_partial cbs e
   | Some p -> (
+      check_poly_compare ctx cbs f p;
       let name = canon ctx p in
       let mask = effect_of_name name in
       if mask <> 0 then cbs.on_effect e.exp_loc mask name;
