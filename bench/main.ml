@@ -305,7 +305,8 @@ let memo_before_batch256 = (294.47, 132.16)
 
 (* Drive a live daemon (own domain, temp Unix socket) with [stream]
    and return the client's load record and the daemon's exit stats. *)
-let daemon_load ~tweak ~pipeline stream =
+let daemon_load ?(wire = Archpred_serve_net.Frame.Binary_wire) ~tweak ~pipeline
+    stream =
   let module Daemon = Archpred_serve_net.Daemon in
   let module Client = Archpred_serve_net.Client in
   let sock =
@@ -325,9 +326,7 @@ let daemon_load ~tweak ~pipeline stream =
   in
   let dom = Domain.spawn (fun () -> Daemon.run ~control ~predictor cfg) in
   let c = Client.connect (Daemon.Unix_socket sock) in
-  let load =
-    Client.drive c Archpred_serve_net.Frame.Binary_wire ~pipeline stream
-  in
+  let load = Client.drive c wire ~pipeline stream in
   Client.close c;
   Daemon.request_drain control;
   let stats = Domain.join dom in
@@ -437,14 +436,24 @@ let run_serve () =
           (Array.init dim (fun _ -> Stats.Rng.unit_float rng)))
   in
   let stream = Array.init 16_384 (fun i -> pool.(i mod Array.length pool)) in
+  let print_daemon label (load : Client.load) =
+    Printf.printf
+      "%s: %8.0f predictions/s  p50 %6.1f us  p99 %6.1f us  p999 %6.1f us \
+       (%d ok / %d sent)\n%!"
+      label load.Client.throughput (load.Client.p50_ns /. 1e3)
+      (load.Client.p99_ns /. 1e3)
+      (load.Client.p999_ns /. 1e3)
+      load.Client.ok load.Client.sent
+  in
   let load, stats = daemon_load ~tweak:Fun.id ~pipeline:256 stream in
-  Printf.printf
-    "daemon: %8.0f predictions/s  p50 %6.1f us  p99 %6.1f us  p999 %6.1f us \
-     (%d ok / %d sent)\n%!"
-    load.Client.throughput (load.Client.p50_ns /. 1e3)
-    (load.Client.p99_ns /. 1e3)
-    (load.Client.p999_ns /. 1e3)
-    load.Client.ok load.Client.sent;
+  print_daemon "daemon" load;
+  (* the same stream on the JSON-lines wire: the head-to-head cost of
+     the text codec against the binary framing *)
+  let json_load, json_stats =
+    daemon_load ~wire:Archpred_serve_net.Frame.Json_wire ~tweak:Fun.id
+      ~pipeline:256 stream
+  in
+  print_daemon "daemon json" json_load;
   let over_load, over_stats =
     daemon_load
       ~tweak:(fun c -> { c with Daemon.max_pending = 64; max_batch = 64 })
@@ -497,22 +506,36 @@ let run_serve () =
         ("connections", Json.Int mc_stats.Daemon.connections);
       ]
   in
+  let daemon_fields wire (load : Client.load) (stats : Daemon.stats) =
+    [
+      ("listener", Json.String "unix");
+      ("wire", Json.String wire);
+      ("pipeline", Json.Int 256);
+      ("requests", Json.Int load.Client.sent);
+      ("predictions_per_sec", Json.Float load.Client.throughput);
+      ("p50_ns", Json.Float load.Client.p50_ns);
+      ("p99_ns", Json.Float load.Client.p99_ns);
+      ("p999_ns", Json.Float load.Client.p999_ns);
+      ("ok", Json.Int load.Client.ok);
+      ("shed", Json.Int load.Client.shed);
+      ("timeouts", Json.Int load.Client.timeouts);
+      ("lost", Json.Int stats.Daemon.lost);
+      ("cache_hits", Json.Int stats.Daemon.cache.Core.Memo.hits);
+      ("checksum", Json.Float load.Client.checksum);
+    ]
+  in
+  let daemon_json =
+    Json.Obj
+      (daemon_fields "json" json_load json_stats
+      @ [
+          ( "binary_over_json_throughput",
+            Json.Float (load.Client.throughput /. json_load.Client.throughput) );
+        ])
+  in
   let daemon =
     Json.Obj
-      [
-        ("listener", Json.String "unix");
-        ("pipeline", Json.Int 256);
-        ("requests", Json.Int load.Client.sent);
-        ("predictions_per_sec", Json.Float load.Client.throughput);
-        ("p50_ns", Json.Float load.Client.p50_ns);
-        ("p99_ns", Json.Float load.Client.p99_ns);
-        ("p999_ns", Json.Float load.Client.p999_ns);
-        ("ok", Json.Int load.Client.ok);
-        ("shed", Json.Int load.Client.shed);
-        ("timeouts", Json.Int load.Client.timeouts);
-        ("lost", Json.Int stats.Daemon.lost);
-        ("cache_hits", Json.Int stats.Daemon.cache.Core.Memo.hits);
-        ("checksum", Json.Float load.Client.checksum);
+      (daemon_fields "binary" load stats
+      @ [
         ( "overload",
           Json.Obj
             [
@@ -524,13 +547,14 @@ let run_serve () =
               ("timeouts", Json.Int over_load.Client.timeouts);
               ("lost", Json.Int over_stats.Daemon.lost);
             ] );
-      ]
+      ])
   in
   let path = "BENCH_serve.json" in
   Core.Serve.write_json ~path
     ~extra:
       [
         ("daemon", daemon);
+        ("daemon_json", daemon_json);
         ("multi_client", multi_client);
         ("memo_fix", memo_fix);
       ]
@@ -543,8 +567,11 @@ let run_serve () =
 
 let run_sim () =
   let r = Core.Sim_bench.run ~trace_length:20_000 ~n_configs:16 () in
-  Printf.printf "batched simulation (mcf, %d insts, %d configs)\n"
-    r.Core.Sim_bench.trace_length r.Core.Sim_bench.n_configs;
+  Printf.printf
+    "batched simulation (mcf, %d insts, %d configs, median of %d \
+     interleaved repetitions [min, max])\n"
+    r.Core.Sim_bench.trace_length r.Core.Sim_bench.n_configs
+    r.Core.Sim_bench.reps;
   List.iter
     (fun (c : Core.Sim_bench.rate) ->
       Printf.printf "  %s  %-9s  %8.3f cpi  %10.0f inst/s\n"
@@ -553,9 +580,13 @@ let run_sim () =
     r.Core.Sim_bench.rates;
   List.iter
     (fun (s : Core.Sim_bench.speedup) ->
-      Printf.printf "  batch %2d: %.4f s sequential, %.4f s batched, %.2fx\n"
-        s.Core.Sim_bench.batch s.Core.Sim_bench.sequential_s
-        s.Core.Sim_bench.batched_s s.Core.Sim_bench.speedup)
+      let lo_s, hi_s = s.Core.Sim_bench.sequential_range_s in
+      let lo_b, hi_b = s.Core.Sim_bench.batched_range_s in
+      Printf.printf
+        "  batch %2d: %.4f s sequential [%.4f, %.4f], %.4f s batched [%.4f, \
+         %.4f], %.2fx\n"
+        s.Core.Sim_bench.batch s.Core.Sim_bench.sequential_s lo_s hi_s
+        s.Core.Sim_bench.batched_s lo_b hi_b s.Core.Sim_bench.speedup)
     r.Core.Sim_bench.speedups;
   Printf.printf "  bit-identical to reference: %b\n"
     r.Core.Sim_bench.bit_identical;
@@ -707,7 +738,6 @@ let run_shard () =
        Json.Int (shard_spec ~stream_refit:true).Shard.Spec.lhs_candidates);
       ("shard_unit",
        Json.Int (shard_spec ~stream_refit:true).Shard.Spec.shard_unit);
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
       ("single_redraw_s", Json.Float redraw_s);
       ("single_stream_s", Json.Float stream_s);
       ("stream_vs_redraw_speedup", Json.Float (redraw_s /. stream_s));

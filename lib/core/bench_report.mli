@@ -3,8 +3,9 @@
     All machine-readable benchmark reports (the serving load test, the
     micro-benchmark record, the checkpoint-overhead record, the batched
     simulation record) carry the same leading fields — a schema tag, the
-    envelope schema version, the default domain count, the [git describe]
-    stamp and the SIMD level the prediction kernel dispatched to — so
+    envelope schema version, the host's core count, the default domain
+    count, the [git describe] stamp and the SIMD level the prediction
+    kernel dispatched to — so
     regression tooling can treat them uniformly.  This module is the one
     writer of that envelope. *)
 
@@ -17,7 +18,9 @@ val git_describe : unit -> string
     tree. *)
 
 val metadata : unit -> (string * Archpred_obs.Json.t) list
-(** The environment stamp: [domains], [git_describe] and [simd]. *)
+(** The environment stamp: [cores] (what the runtime recommends as a
+    domain count, i.e. the CPUs this process may use), [domains],
+    [git_describe] and [simd]. *)
 
 val envelope : schema:string -> (string * Archpred_obs.Json.t) list
 (** [schema] and [schema_version] followed by {!metadata}. *)

@@ -14,11 +14,14 @@ type speedup = {
   sequential_s : float;
   batched_s : float;
   speedup : float;
+  sequential_range_s : float * float;
+  batched_range_s : float * float;
 }
 
 type result = {
   trace_length : int;
   n_configs : int;
+  reps : int;
   rates : rate list;
   speedups : speedup list;
   bit_identical : bool;
@@ -53,12 +56,17 @@ let results_identical (a : Sim.Processor.result) (b : Sim.Processor.result) =
   && feq a.Sim.Processor.cpi b.Sim.Processor.cpi
   && feq a.Sim.Processor.branch_accuracy b.Sim.Processor.branch_accuracy
 
-let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ]) ()
-    =
+let median xs = Archpred_stats.Quantile.median xs
+
+let range xs = (Array.fold_left Float.min infinity xs, Array.fold_left Float.max neg_infinity xs)
+
+let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ])
+    ?(reps = 5) () =
   if trace_length < 1 then
     Obs.Error.invalid_input ~where:"Sim_bench.run" "trace_length < 1";
   if n_configs < 1 then
     Obs.Error.invalid_input ~where:"Sim_bench.run" "n_configs < 1";
+  if reps < 1 then Obs.Error.invalid_input ~where:"Sim_bench.run" "reps < 1";
   List.iter
     (fun b ->
       if b < 1 || b > n_configs then
@@ -74,49 +82,80 @@ let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ]) ()
   (* Warm-up: touch both paths once so neither pays first-run costs. *)
   ignore (Sim.Processor.run cfgs.(0) trace);
   ignore (Sim.Batch.run_plan plan [| cfgs.(0) |]);
-  (* Sequential reference: each config through [Processor.run], timed
-     individually — the per-config inst/s rows and the baseline the
-     batched engine is compared against. *)
-  let seq_times = Array.make n_configs 0. in
-  let reference =
-    Array.mapi
-      (fun i cfg ->
-        let t0 = now () in
-        let r = Sim.Processor.run cfg trace in
-        seq_times.(i) <- (now () -. t0) /. 1e9;
-        r)
-      cfgs
+  (* [reps] interleaved repetitions: each times every config through the
+     sequential reference [Processor.run], then every batch size through
+     [Batch.run_plan], so both engines sample the same stretch of host
+     noise.  Every figure below is a median over the repetitions. *)
+  let batches = Array.of_list batches in
+  let seq_times = Array.make_matrix n_configs reps 0. in
+  let batch_times = Array.make_matrix (Array.length batches) reps 0. in
+  (* the first repetition's sequential results are the reference every
+     later result must match bit for bit *)
+  let reference = ref [||] in
+  let identical = ref true in
+  let check_all got =
+    Array.iteri
+      (fun i r -> if not (results_identical r !reference.(i)) then identical := false)
+      got
   in
+  for k = 0 to reps - 1 do
+    let sequential =
+      Array.mapi
+        (fun i cfg ->
+          let t0 = now () in
+          let r = Sim.Processor.run cfg trace in
+          seq_times.(i).(k) <- (now () -. t0) /. 1e9;
+          r)
+        cfgs
+    in
+    if k = 0 then reference := sequential else check_all sequential;
+    Array.iteri
+      (fun j b ->
+        let sub = Array.sub cfgs 0 b in
+        let t0 = now () in
+        let batched = Sim.Batch.run_plan plan sub in
+        batch_times.(j).(k) <- (now () -. t0) /. 1e9;
+        check_all batched)
+      batches
+  done;
   let rates =
     List.init n_configs (fun i ->
         {
           name = Printf.sprintf "config_%02d" i;
           policy = Sim.Cache.Policy.to_string cfgs.(i).Sim.Config.cache_policy;
-          cpi = reference.(i).Sim.Processor.cpi;
-          inst_per_sec = float_of_int trace_length /. seq_times.(i);
+          cpi = !reference.(i).Sim.Processor.cpi;
+          inst_per_sec = float_of_int trace_length /. median seq_times.(i);
         })
   in
-  let identical = ref true in
   let speedups =
-    List.map
-      (fun b ->
-        let sub = Array.sub cfgs 0 b in
-        let t0 = now () in
-        let batched = Sim.Batch.run_plan plan sub in
-        let batched_s = (now () -. t0) /. 1e9 in
-        Array.iteri
-          (fun i r ->
-            if not (results_identical r reference.(i)) then identical := false)
-          batched;
-        let sequential_s =
-          Array.fold_left ( +. ) 0. (Array.sub seq_times 0 b)
-        in
-        { batch = b; sequential_s; batched_s; speedup = sequential_s /. batched_s })
-      batches
+    Array.to_list
+      (Array.mapi
+         (fun j b ->
+           (* one repetition's sequential time for a batch is the sum
+              of its configs' times in that repetition *)
+           let seq =
+             Array.init reps (fun k ->
+                 let t = ref 0. in
+                 for i = 0 to b - 1 do
+                   t := !t +. seq_times.(i).(k)
+                 done;
+                 !t)
+           in
+           let sequential_s = median seq and batched_s = median batch_times.(j) in
+           {
+             batch = b;
+             sequential_s;
+             batched_s;
+             speedup = sequential_s /. batched_s;
+             sequential_range_s = range seq;
+             batched_range_s = range batch_times.(j);
+           })
+         batches)
   in
   {
     trace_length;
     n_configs;
+    reps;
     rates;
     speedups;
     bit_identical = !identical;
@@ -127,6 +166,7 @@ let json_of_result r =
     [
       ("trace_length", Json.Int r.trace_length);
       ("n_configs", Json.Int r.n_configs);
+      ("reps", Json.Int r.reps);
       ( "rates",
         Json.List
           (List.map
@@ -149,6 +189,10 @@ let json_of_result r =
                    ("sequential_s", Json.Float s.sequential_s);
                    ("batched_s", Json.Float s.batched_s);
                    ("speedup", Json.Float s.speedup);
+                   ("sequential_min_s", Json.Float (fst s.sequential_range_s));
+                   ("sequential_max_s", Json.Float (snd s.sequential_range_s));
+                   ("batched_min_s", Json.Float (fst s.batched_range_s));
+                   ("batched_max_s", Json.Float (snd s.batched_range_s));
                  ])
              r.speedups) );
       ("bit_identical", Json.Bool r.bit_identical);

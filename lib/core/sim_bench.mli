@@ -18,14 +18,19 @@ type rate = {
 
 type speedup = {
   batch : int;  (** configs simulated together *)
-  sequential_s : float;  (** summed [Processor.run] time of those configs *)
-  batched_s : float;  (** one [Batch.run_plan] over them *)
+  sequential_s : float;
+      (** summed [Processor.run] time of those configs, median over the
+          repetitions *)
+  batched_s : float;  (** one [Batch.run_plan] over them, median *)
   speedup : float;  (** [sequential_s /. batched_s] *)
+  sequential_range_s : float * float;  (** min and max over the repetitions *)
+  batched_range_s : float * float;  (** min and max over the repetitions *)
 }
 
 type result = {
   trace_length : int;
   n_configs : int;
+  reps : int;  (** interleaved timing repetitions behind each figure *)
   rates : rate list;
   speedups : speedup list;
   bit_identical : bool;
@@ -38,11 +43,20 @@ val configs : int -> Archpred_sim.Config.t array
     cache shapes. *)
 
 val run :
-  ?trace_length:int -> ?n_configs:int -> ?batches:int list -> unit -> result
+  ?trace_length:int ->
+  ?n_configs:int ->
+  ?batches:int list ->
+  ?reps:int ->
+  unit ->
+  result
 (** Measure (defaults: 20_000-instruction mcf trace, 16 configs, batch
-    sizes [[1; 4; 16]]).  The simulated values are deterministic; only
-    the timings vary run to run.  Raises [Archpred (Invalid_input _)] on
-    a degenerate budget or a batch size outside [[1, n_configs]]. *)
+    sizes [[1; 4; 16]], 5 repetitions).  Each repetition times every
+    config sequentially and then every batch size, so the two engines
+    are interleaved; each time is the median over the repetitions, with
+    its range kept beside it.  The simulated values are deterministic;
+    only the timings vary run to run.  Raises
+    [Archpred (Invalid_input _)] on a degenerate budget, [reps < 1] or a
+    batch size outside [[1, n_configs]]. *)
 
 val json_of_result : result -> Archpred_obs.Json.t
 (** The [sim] section payload. *)

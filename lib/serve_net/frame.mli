@@ -17,7 +17,14 @@
     Decoding is incremental and total: arbitrary chunking, truncation
     and corruption produce [`Need_more] or a sticky [`Error] value —
     never an exception — so a malformed peer can only ever kill its own
-    connection. *)
+    connection.  A JSON line is decoded in place from the decoder's
+    buffer by {!Archpred_obs.Json}'s pull reader: keys are compared
+    where they lie and coordinates go straight into the point array,
+    with the first occurrence of a key winning and every syntax error
+    reported as {!Archpred_obs.Json.of_string} words it.  The newline
+    search resumes where the last one stopped, so a line fed in many
+    chunks is scanned once.  JSON replies are written field by field,
+    with the same bytes as the {!Archpred_obs.Json.t} writer. *)
 
 type request =
   | Predict of { id : int; point : float array; natural : bool }

@@ -64,6 +64,9 @@ let () =
   (match Json.member "schema" j with
   | Some (Json.String "archpred-serve-v1") -> ()
   | _ -> fail "missing or wrong schema tag (want archpred-serve-v1)");
+  (match Json.member "cores" j with
+  | Some (Json.Int c) when c >= 1 -> ()
+  | _ -> fail "missing metadata field \"cores\"");
   (match Json.member "domains" j with
   | Some (Json.Int d) when d >= 1 -> ()
   | _ -> fail "missing metadata field \"domains\"");
@@ -111,4 +114,44 @@ let () =
   ignore (expect_int "cache_evictions" run);
   ignore (expect_float "checksum" run);
   Printf.printf "ok: archpred-serve-v1 report valid (%d predictions, hit rate %.3f)\n"
-    predictions hit_rate
+    predictions hit_rate;
+  (* The committed record, when given: both daemon rows, binary and
+     JSON lines, from the same stream, every request answered. *)
+  if Array.length Sys.argv > 1 then begin
+    let path = Sys.argv.(1) in
+    let j =
+      match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+      | Ok j -> j
+      | Error m -> fail "%s is not valid JSON: %s" path m
+    in
+    (match Json.member "cores" j with
+    | Some (Json.Int c) when c >= 1 -> ()
+    | _ -> fail "%s: missing metadata field \"cores\"" path);
+    let row key wire =
+      let d =
+        match Json.member key j with
+        | Some d -> d
+        | None -> fail "%s: missing %S row" path key
+      in
+      (match Json.member "wire" d with
+      | Some (Json.String w) when String.equal w wire -> ()
+      | _ -> fail "%s: %S row must say wire %S" path key wire);
+      List.iter
+        (fun f ->
+          if not (expect_float f d > 0.) then fail "%s: %s.%s must be positive" path key f)
+        [ "predictions_per_sec"; "p50_ns"; "p99_ns"; "p999_ns" ];
+      let requests = expect_int "requests" d in
+      if expect_int "ok" d <> requests then
+        fail "%s: %s answered %d of %d requests ok" path key (expect_int "ok" d) requests;
+      if expect_int "lost" d <> 0 then fail "%s: %s lost replies" path key;
+      (requests, expect_float "checksum" d)
+    in
+    let binary = row "daemon" "binary" and json = row "daemon_json" "json" in
+    if fst binary <> fst json then fail "%s: the two daemon rows drove different streams" path;
+    (match Json.member "daemon_json" j with
+    | Some d ->
+        if not (expect_float "binary_over_json_throughput" d > 0.) then
+          fail "%s: binary_over_json_throughput must be positive" path
+    | None -> ());
+    Printf.printf "ok: %s daemon rows valid (binary and JSON lines)\n" path
+  end

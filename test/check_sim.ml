@@ -46,6 +46,9 @@ let () =
   (match Json.member "schema_version" j with
   | Some (Json.Int v) when v >= 1 -> ()
   | _ -> fail "missing envelope field \"schema_version\"");
+  (match Json.member "cores" j with
+  | Some (Json.Int c) when c >= 1 -> ()
+  | _ -> fail "missing metadata field \"cores\"");
   (match Json.member "domains" j with
   | Some (Json.Int d) when d >= 1 -> ()
   | _ -> fail "missing metadata field \"domains\"");
@@ -65,6 +68,7 @@ let () =
   in
   if expect_int "trace_length" sim <> 400 then fail "wrong trace_length";
   if expect_int "n_configs" sim <> 5 then fail "wrong n_configs";
+  if expect_int "reps" sim <> 5 then fail "wrong reps (want the default 5)";
   let rates =
     match Json.member "rates" sim with
     | Some (Json.List l) -> l
@@ -98,7 +102,20 @@ let () =
         (fun f ->
           if not (expect_float f s > 0.) then
             fail "field %S must be positive" f)
-        [ "sequential_s"; "batched_s"; "speedup" ])
+        [
+          "sequential_s"; "batched_s"; "speedup"; "sequential_min_s";
+          "sequential_max_s"; "batched_min_s"; "batched_max_s";
+        ];
+      (* each median lies within its repetitions' range *)
+      List.iter
+        (fun (lo, mid, hi) ->
+          let lo = expect_float lo s and m = expect_float mid s and hi = expect_float hi s in
+          if not (lo <= m && m <= hi) then
+            fail "median %s %g outside its range [%g, %g]" mid m lo hi)
+        [
+          ("sequential_min_s", "sequential_s", "sequential_max_s");
+          ("batched_min_s", "batched_s", "batched_max_s");
+        ])
     speedups;
   (match Json.member "bit_identical" sim with
   | Some (Json.Bool true) -> ()

@@ -169,6 +169,165 @@ let test_json_parse_classes () =
       Alcotest.(check bool) ("rejects " ^ s) true (Result.is_error (Json.of_string s)))
     [ "\"open"; "\"ab\\"; "\"a\001b\""; "\"bad \\q\""; "1.2.3"; "-"; "" ]
 
+(* The reader's number path against the function that defines it:
+   every fractional token must decode to [float_of_string]'s exact bits,
+   through the Clinger path, the fma-checked wide path or the fallback. *)
+let qcheck_json_number_exact =
+  let fractional s = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s in
+  let edge =
+    [
+      "9007199254740993.0"; "9007199254740993e0"; "9.007199254740993e15";
+      "9007199254740992.5e0"; "9007199254740993.5e0"; "1e22"; "1e23";
+      "1e-22"; "1e-23"; "9.999999999999999e22"; "1.0000000000000001e23";
+      "123456789012345678e22"; "123456789012345678e-22";
+      "123456789012345678e23"; "123456789012345678.0";
+      "1234567890123456789.0"; "1234567890123456789e-5";
+      "999999999999999999e-22"; "999999999999999999e22";
+      "576460752303423552e0"; "576460752303423616e0"; "576460752303423680e0";
+      "4.9e-324"; "5e-324"; "2.2250738585072011e-308";
+      "2.2250738585072014e-308"; "1.7976931348623157e308"; "1.8e308";
+      "-0.0"; "0.0e5"; "-.5"; "+.5"; ".5"; "1."; "1.e3"; "-1E+3"; "1e-0";
+      "0.1"; "0.30000000000000004"; "0.33333333333333331";
+      "0.000000000000000000000123"; "100000000000000000000000.0";
+    ]
+  in
+  let random_double =
+    QCheck.Gen.(
+      map
+        (fun bits -> Int64.float_of_bits bits)
+        (map2 (fun hi lo -> Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+           (int_bound 0x7FFFFFFF) (int_bound 0x7FFFFFFF)))
+  in
+  let rendered =
+    QCheck.Gen.(
+      map2
+        (fun fmt x ->
+          match fmt with
+          | 15 -> Printf.sprintf "%.15g" x
+          | 16 -> Printf.sprintf "%.16g" x
+          | _ -> Printf.sprintf "%.17g" x)
+        (oneofl [ 15; 16; 17 ])
+        (frequency
+           [
+             (3, random_double);
+             (2, map2 (fun k n -> float_of_int k /. float_of_int n) (int_bound 1000) (int_range 1 97));
+             (1, map (fun k -> Int64.float_of_bits (Int64.of_int k)) (int_range 1 ((1 lsl 52) - 1)));
+             (2, float_range (-1e6) 1e6);
+           ]))
+  in
+  (* 18- and 19-digit mantissas over the whole fast-path exponent range
+     and just past it *)
+  let wide =
+    QCheck.Gen.(
+      map3
+        (fun m e neg -> Printf.sprintf "%s%de%d" (if neg then "-" else "") m e)
+        (int_range 100_000_000_000_000_000 (max_int / 4))
+        (int_range (-24) 24) bool)
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency [ (4, rendered); (3, wide); (1, oneofl edge) ]
+      |> map (fun s -> if fractional s then s else s ^ ".0"))
+  in
+  QCheck.Test.make ~name:"Json number fast path is float_of_string" ~count:5000
+    (QCheck.make ~print:Fun.id gen) (fun s ->
+      match (Json.of_string s, float_of_string_opt s) with
+      | Ok (Json.Float f), Some g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | Error _, None -> true
+      | _ -> false)
+
+(* Every edge case once, beside the random sample. *)
+let test_json_number_edges () =
+  List.iter
+    (fun (s, want) ->
+      match Json.of_string s with
+      | Ok (Json.Float f) ->
+          Alcotest.(check bool) s true (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float want))
+      | Ok _ -> Alcotest.failf "%s: not a float" s
+      | Error e -> Alcotest.failf "%s: %s" s e)
+    [
+      ("9007199254740993.0", 9007199254740992.);
+      ("9007199254740995e0", 9007199254740996.);
+      ("1e23", 1e23);
+      ("1e-23", 1e-23);
+      ("-0.0", -0.);
+      ("0.1", 0.1);
+      ("4.9e-324", 4.9e-324);
+    ];
+  (* the int side of the rule is unchanged: -0 is the int 0, so +0.0 *)
+  Alcotest.(check bool) "-0 is Int 0" true (Json.of_string "-0" = Ok (Json.Int 0));
+  Alcotest.(check bool) "+1 is Int 1" true (Json.of_string "+1" = Ok (Json.Int 1));
+  Alcotest.(check bool) "007 is Int 7" true (Json.of_string "007" = Ok (Json.Int 7))
+
+let test_json_unicode_escapes () =
+  let parse s = Json.of_string ("\"" ^ s ^ "\"") in
+  Alcotest.(check bool) "\\u0041" true (parse "\\u0041" = Ok (Json.String "A"));
+  Alcotest.(check bool) "caf\\u00e9 is UTF-8" true
+    (parse "caf\\u00e9" = Ok (Json.String "caf\xc3\xa9"));
+  Alcotest.(check bool) "\\u20ac" true (parse "\\u20AC" = Ok (Json.String "\xe2\x82\xac"));
+  Alcotest.(check bool) "surrogate pair" true
+    (parse "\\ud83d\\ude00" = Ok (Json.String "\xf0\x9f\x98\x80"));
+  List.iter
+    (fun s -> Alcotest.(check bool) ("rejects " ^ s) true (Result.is_error (parse s)))
+    [
+      "\\u0_41"; "\\u+041"; "\\u004"; "\\u00g1"; "\\ud83d"; "\\ud83dx";
+      "\\ud83d\\u0041"; "\\ude00"; "\\ude00\\ud83d";
+    ]
+
+(* [of_string (to_string v) = v], up to the number rule: a float whose
+   %.17g text has no '.', 'e' or 'E' reads back as that Int. *)
+let qcheck_json_roundtrip =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(char_range '\000' '\255') (int_bound 12) in
+  let scalar =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (2, map (fun i -> Json.Int i) int);
+        (2, map (fun f -> Json.Float f) (float_range (-1e9) 1e9));
+        (1, map (fun f -> Json.Float f) (oneofl [ 0.; -0.; 1.; 1e300; 5e-324; 0.1 ]));
+        (3, map (fun s -> Json.String s) str);
+      ]
+  in
+  let value =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n - 1)))) );
+               ])
+  in
+  let rec normal = function
+    | Json.Float f as v -> (
+        let s = Printf.sprintf "%.17g" f in
+        if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then v
+        else match int_of_string_opt s with Some i -> Json.Int i | None -> v)
+    | Json.List l -> Json.List (List.map normal l)
+    | Json.Obj l -> Json.Obj (List.map (fun (k, v) -> (k, normal v)) l)
+    | v -> v
+  in
+  let rec same a b =
+    match (a, b) with
+    | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | Json.List xs, Json.List ys -> List.length xs = List.length ys && List.for_all2 same xs ys
+    | Json.Obj xs, Json.Obj ys ->
+        List.length xs = List.length ys
+        && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && same x y) xs ys
+    | a, b -> a = b
+  in
+  QCheck.Test.make ~name:"Json of_string (to_string v) = v" ~count:1000
+    (QCheck.make ~print:Json.to_string value) (fun v ->
+      match Json.of_string (Json.to_string v) with
+      | Ok v' -> same (normal v) v'
+      | Error _ -> false)
+
 (* ---------- counters across domains ---------- *)
 
 let pipeline_counters domains =
@@ -377,6 +536,10 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_json_float_rule;
           Alcotest.test_case "json parse classes" `Quick test_json_parse_classes;
+          QCheck_alcotest.to_alcotest qcheck_json_number_exact;
+          Alcotest.test_case "json number edges" `Quick test_json_number_edges;
+          Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
         ] );
       ( "pipeline",
         [

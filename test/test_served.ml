@@ -339,6 +339,330 @@ let test_oversized_frame_is_error () =
   | _ -> Alcotest.fail "oversized JSON line accepted"
 
 (* ---------------------------------------------------------------- *)
+(* Codec: the in-place JSON decode against the tree decode          *)
+(* ---------------------------------------------------------------- *)
+
+(* The tree-based decode that Frame used before it decoded JSON lines
+   in place: parse the line into a [Json.t], then look the keys up.
+   Kept here as the oracle, the way Processor is kept for Batch. *)
+module Oracle = struct
+  module Json = Archpred_obs.Json
+
+  let max_dim = 1024
+
+  let float_of_json = function
+    | Json.Float v -> Some v
+    | Json.Int v -> Some (float_of_int v)
+    | _ -> None
+
+  let request line =
+    match Json.of_string line with
+    | Error e -> Result.Error ("bad JSON request: " ^ e)
+    | Result.Ok j -> (
+        match Json.member "cmd" j with
+        | Some (Json.String "reload") ->
+            let path =
+              match Json.member "path" j with
+              | Some (Json.String p) -> Some p
+              | _ -> None
+            in
+            Result.Ok (Frame.Reload path)
+        | Some _ -> Result.Error "unknown cmd"
+        | None -> (
+            match (Json.member "id" j, Json.member "point" j) with
+            | Some (Json.Int id), Some (Json.List vs) ->
+                let natural =
+                  match Json.member "natural" j with
+                  | Some (Json.Bool b) -> b
+                  | _ -> false
+                in
+                let coords = List.filter_map float_of_json vs in
+                if List.length coords <> List.length vs then
+                  Result.Error "non-numeric coordinate"
+                else
+                  let point = Array.of_list coords in
+                  if Array.length point > max_dim then
+                    Result.Error "point too wide"
+                  else Result.Ok (Frame.Predict { id; point; natural })
+            | _ -> Result.Error "request needs \"id\" and \"point\""))
+
+  let response line =
+    match Json.of_string line with
+    | Error e -> Result.Error ("bad JSON response: " ^ e)
+    | Result.Ok j -> (
+        match Json.member "reload" j with
+        | Some (Json.String outcome) ->
+            let detail =
+              match Json.member "detail" j with
+              | Some (Json.String s) -> s
+              | _ -> ""
+            in
+            Result.Ok (Frame.Reload_reply { ok = outcome = "ok"; detail })
+        | Some _ -> Result.Error "bad reload reply"
+        | None -> (
+            match (Json.member "id" j, Json.member "status" j) with
+            | Some (Json.Int id), Some (Json.String s) -> (
+                match Frame.status_of_name s with
+                | None -> Result.Error ("unknown status " ^ s)
+                | Some status ->
+                    let value =
+                      match Option.bind (Json.member "value" j) float_of_json with
+                      | Some v -> v
+                      | None -> Float.nan
+                    in
+                    Result.Ok (Frame.Reply { id; status; value }))
+            | _ -> Result.Error "response needs \"id\" and \"status\""))
+end
+
+let response_equal a b =
+  match (a, b) with
+  | ( Frame.Reply { id = i1; status = s1; value = v1 },
+      Frame.Reply { id = i2; status = s2; value = v2 } ) ->
+      i1 = i2 && s1 = s2 && Int64.equal (bits v1) (bits v2)
+  | ( Frame.Reload_reply { ok = o1; detail = d1 },
+      Frame.Reload_reply { ok = o2; detail = d2 } ) ->
+      o1 = o2 && String.equal d1 d2
+  | _ -> false
+
+(* Decode one line (no '\n' inside) through a fresh decoder. *)
+let decode_line next line =
+  let d = Frame.decoder () in
+  Frame.feed_string d (line ^ "\n");
+  match next d with
+  | `Msg (m, Frame.Json_wire) -> Result.Ok m
+  | `Msg (_, Frame.Binary_wire) -> Result.Error "decoded as binary"
+  | `Error e -> Result.Error e
+  | `Need_more -> Result.Error "need more"
+
+let same_outcome equal got want =
+  match (got, want) with
+  | Result.Ok a, Result.Ok b -> equal a b
+  | Result.Error e, Result.Error e' -> String.equal e e'
+  | _ -> false
+
+let request_agrees line =
+  same_outcome request_equal (decode_line Frame.next_request line) (Oracle.request line)
+
+let response_agrees line =
+  same_outcome response_equal (decode_line Frame.next_response line) (Oracle.response line)
+
+(* Random JSON-ish lines: the keys each side looks for, in any order,
+   duplicated or beside unknown keys, with numbers of every shape the
+   number rule distinguishes, escapes, nesting and stray bytes. *)
+let json_line_gen keys =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; " "; "\t"; "\r"; "  " ] in
+  let number =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              "-0"; "+1"; ".5"; "1."; "1e3"; "1E-3"; "-.5e+2"; "007"; "0"; "-17";
+              "1e400"; "-1e-400"; "99999999999999999999"; "4611686018427387904";
+              "-4611686018427387905"; "-"; "+"; "1-2"; "1e"; "1.2.3"; "--1";
+              "12345678901234567890.5"; "2.5e-3"; "0.1"; "9007199254740993.0";
+              "1e22"; "1e23"; "-0.0"; "4.9e-324";
+            ] );
+        (2, map string_of_int int);
+        (2, map (fun i -> string_of_int i) (int_range (-5) 100));
+        (3, map (Printf.sprintf "%.17g") (float_range (-2.) 2.));
+        (1, map (Printf.sprintf "%.15g") (float_range (-1e6) 1e6));
+        (1, map (fun (m, e) -> Printf.sprintf "%de%d" m e)
+              (pair (int_range 0 (max_int / 4)) (int_range (-25) 25)));
+      ]
+  in
+  let str =
+    oneofl
+      [
+        "\"reload\""; "\"ok\""; "\"failed\""; "\"timeout\""; "\"bad_request\"";
+        "\"shutting_down\""; "\"overloaded\""; "\"nope\""; "\"m.model\"";
+        "\"po\\u0069nt\""; "\"re\\u006coad\""; "\"caf\\u00e9\"";
+        "\"\\ud83d\\ude00\""; "\"bad \\q\""; "\"\\u0_41\""; "\"\\ud83d\"";
+        "\"\""; "\"tab\\there\""; "\"open";
+      ]
+  in
+  let scalar =
+    frequency
+      [ (4, number); (2, str); (1, oneofl [ "true"; "false"; "null"; "tru"; "nul" ]) ]
+  in
+  let array_of elt =
+    map2
+      (fun (w1, w2) xs -> "[" ^ w1 ^ String.concat ("," ^ w2) xs ^ "]")
+      (pair ws ws)
+      (list_size (int_range 0 12) elt)
+  in
+  let rec value depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [
+          (5, scalar);
+          (3, array_of (frequency [ (6, number); (1, value (depth - 1)) ]));
+          ( 1,
+            map
+              (fun fields ->
+                "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ k ^ "\":" ^ v) fields) ^ "}")
+              (list_size (int_range 0 3) (pair (oneofl [ "a"; "id" ]) (value (depth - 1)))) );
+        ]
+  in
+  let key =
+    frequency
+      [ (8, map (fun k -> "\"" ^ k ^ "\"") (oneofl keys)); (1, oneofl [ "\"x\""; "\"po\\u0069nt\""; "\"\\u0069d\"" ]) ]
+  in
+  let field =
+    map3
+      (fun k (w1, w2, w3) v -> w1 ^ k ^ w2 ^ ":" ^ w3 ^ v)
+      key (triple ws ws ws) (value 2)
+  in
+  let line =
+    map3
+      (fun fields w tail -> "{" ^ String.concat "," fields ^ w ^ "}" ^ tail)
+      (list_size (int_range 0 7) field)
+      ws
+      (frequency [ (9, return ""); (1, oneofl [ " "; "x"; "}"; ",1" ]) ])
+  in
+  (* mutations: keep the first '{' so the frame stays JSON, and never
+     put a '\n' inside the line *)
+  let mutate s =
+    let n = String.length s in
+    frequency
+      [
+        (6, return s);
+        (1, map (fun k -> String.sub s 0 (1 + (k mod n))) nat);
+        ( 1,
+          map2
+            (fun k c ->
+              let b = Bytes.of_string s in
+              if n > 1 then Bytes.set b (1 + (k mod (n - 1))) (if c = '\n' then ' ' else c);
+              Bytes.to_string b)
+            nat (char_range '\000' '\255') );
+      ]
+  in
+  line >>= mutate
+
+let qcheck_request_decode_matches_tree =
+  QCheck.Test.make ~name:"in-place request decode = tree decode" ~count:3000
+    (QCheck.make ~print:Fun.id (json_line_gen [ "id"; "point"; "natural"; "cmd"; "path" ]))
+    request_agrees
+
+let qcheck_response_decode_matches_tree =
+  QCheck.Test.make ~name:"in-place response decode = tree decode" ~count:2000
+    (QCheck.make ~print:Fun.id
+       (json_line_gen [ "id"; "status"; "value"; "reload"; "detail" ]))
+    response_agrees
+
+(* Every prefix of real lines, taken as a complete line, and a few
+   hand-picked cases. *)
+let test_json_decode_cases () =
+  let lines =
+    [
+      Frame.encode_request Frame.Json_wire
+        (Frame.Predict { id = 3; point = [| 0.125; -0.; 1e-300; 2.5 |]; natural = true });
+      Frame.encode_request Frame.Json_wire (Frame.Reload (Some "caf\xc3\xa9.model"));
+      "{\"cmd\":\"re\\u006coad\",\"path\":\"caf\\u00e9.model\"}";
+      "{\"id\":1,\"id\":2.5,\"point\":[1,2],\"point\":\"x\",\"natural\":true,\"natural\":1}";
+      "{\"id\":1.0,\"point\":[1]}";
+      "{\"id\":-0,\"point\":[-0,+1,.5,1.,1e3]}";
+      "{\"id\":1,\"point\":[1,\"2\"],\"point\":[1]}";
+      "{\"cmd\":null,\"id\":1,\"point\":[]}";
+      "{\"id\":1,\"point\":[" ^ String.concat "," (List.init 1025 string_of_int) ^ "]}";
+      "{\"id\":1,\"point\":[" ^ String.concat "," (List.init 1024 string_of_int) ^ "]}";
+    ]
+  in
+  List.iter
+    (fun line ->
+      let line = String.trim line in
+      for cut = 1 to String.length line do
+        let l = String.sub line 0 cut in
+        if not (request_agrees l) then Alcotest.failf "request decode differs on %S" l
+      done)
+    lines;
+  let replies =
+    [
+      String.trim (Frame.encode_response Frame.Json_wire (Frame.Reply { id = 7; status = Frame.Ok; value = 0.1 }));
+      String.trim (Frame.encode_response Frame.Json_wire (Frame.Reload_reply { ok = false; detail = "bad \"path\"" }));
+      "{\"id\":1,\"status\":\"weird\"}";
+      "{\"status\":\"ok\",\"value\":\"x\",\"id\":4}";
+      "{\"reload\":1,\"id\":1,\"status\":\"ok\"}";
+    ]
+  in
+  List.iter
+    (fun line ->
+      for cut = 1 to String.length line do
+        let l = String.sub line 0 cut in
+        if not (response_agrees l) then Alcotest.failf "response decode differs on %S" l
+      done)
+    replies
+
+(* A long line fed a byte at a time is scanned for its newline once,
+   not once per byte, and decodes to the same request as fed whole. *)
+let test_long_line_bytewise () =
+  let pad = String.make (256 * 1024) 'x' in
+  let line =
+    "{\"id\":9,\"pad\":\"" ^ pad ^ "\",\"point\":[0.5,0.25,0.75]}\n"
+  in
+  let whole = decode_all_requests [ line ] in
+  let d = Frame.decoder () in
+  let one = Bytes.create 1 in
+  let got = ref [] in
+  let t0 = Obs.now_ns () in
+  String.iter
+    (fun c ->
+      Bytes.set one 0 c;
+      Frame.feed d one 0 1;
+      match Frame.next_request d with
+      | `Msg m -> got := m :: !got
+      | `Need_more -> ()
+      | `Error e -> Alcotest.failf "protocol error: %s" e)
+    line;
+  let elapsed = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9 in
+  (match (whole, !got) with
+  | [ (a, _) ], [ (b, _) ] ->
+      Alcotest.(check bool) "same request" true (request_equal a b)
+  | _ -> Alcotest.fail "expected one request each way");
+  (* linear: well under a second here; the rescanning decoder needed
+     minutes for this line *)
+  Alcotest.(check bool) (Printf.sprintf "bytewise feed took %.2f s" elapsed) true (elapsed < 10.)
+
+(* The JSON codec's per-frame allocation: a 9-coordinate request
+   decodes into little more than its result, and a reply encodes with
+   only the %.17g text of its value. *)
+let test_json_codec_alloc () =
+  let point = (grid_points ~seed:3 1).(0) in
+  let req = Frame.Predict { id = 123456; point; natural = false } in
+  let src = Bytes.of_string (Frame.encode_request Frame.Json_wire req) in
+  let d = Frame.decoder () in
+  let decode () =
+    Frame.feed d src 0 (Bytes.length src);
+    match Frame.next_request d with
+    | `Msg (got, _) -> got
+    | `Need_more | `Error _ -> Alcotest.fail "request did not decode"
+  in
+  Alcotest.(check bool) "decodes" true (request_equal req (decode ()));
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (decode ()))
+  done;
+  let per_request = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "decode: %.1f minor words <= 64" per_request)
+    true (per_request <= 64.);
+  let buf = Buffer.create 4096 in
+  let resp = Frame.Reply { id = 123456; status = Frame.Ok; value = 1.2345678901234567 } in
+  Frame.encode_response_into buf Frame.Json_wire resp;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Buffer.clear buf;
+    Frame.encode_response_into buf Frame.Json_wire resp
+  done;
+  let per_reply = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "encode: %.1f minor words <= 16" per_reply)
+    true (per_reply <= 16.)
+
+(* ---------------------------------------------------------------- *)
 (* Live daemon scenarios                                            *)
 (* ---------------------------------------------------------------- *)
 
@@ -847,6 +1171,14 @@ let () =
             test_oversized_frame_is_error;
           Alcotest.test_case "response golden bytes" `Quick
             test_response_golden;
+          QCheck_alcotest.to_alcotest qcheck_request_decode_matches_tree;
+          QCheck_alcotest.to_alcotest qcheck_response_decode_matches_tree;
+          Alcotest.test_case "JSON decode prefixes and cases" `Quick
+            test_json_decode_cases;
+          Alcotest.test_case "long line fed bytewise" `Quick
+            test_long_line_bytewise;
+          Alcotest.test_case "JSON codec allocation" `Quick
+            test_json_codec_alloc;
         ] );
       ( "daemon",
         [
