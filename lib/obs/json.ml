@@ -378,29 +378,23 @@ let scan_number r =
   if !i < stop && (neg || Bytes.get src !i = '+') then incr i;
   let m = ref 0 and sig_digits = ref 0 and digits = ref 0 and frac = ref 0 in
   let fractional = ref false in
-  while !i < stop && is_digit (Bytes.get src !i) do
-    let dg = Char.code (Bytes.get src !i) - 48 in
-    if !sig_digits > 0 || dg > 0 then begin
-      incr sig_digits;
-      if !sig_digits <= 18 then m := (!m * 10) + dg
-    end;
-    incr digits;
-    incr i
-  done;
-  if !i < stop && Bytes.get src !i = '.' then begin
-    fractional := true;
-    incr i;
-    while !i < stop && is_digit (Bytes.get src !i) do
+  (* the digits, with at most one '.' among them *)
+  while
+    !i < stop
+    && (is_digit (Bytes.get src !i) || ((not !fractional) && Bytes.get src !i = '.'))
+  do
+    if Bytes.get src !i = '.' then fractional := true
+    else begin
       let dg = Char.code (Bytes.get src !i) - 48 in
       if !sig_digits > 0 || dg > 0 then begin
         incr sig_digits;
         if !sig_digits <= 18 then m := (!m * 10) + dg
       end;
       incr digits;
-      incr frac;
-      incr i
-    done
-  end;
+      if !fractional then incr frac
+    end;
+    incr i
+  done;
   let strict = ref (!digits > 0) in
   let e = ref 0 in
   if !strict && !i < stop && (Bytes.get src !i = 'e' || Bytes.get src !i = 'E')
@@ -481,53 +475,39 @@ let store_number r dst i =
 
 (* -- containers -- *)
 
-let enter_object r =
-  expect r '{' "expected {";
+(* After '{' or '[': [false] when the container is empty. *)
+let enter r opening closing msg =
+  expect r opening msg;
   skip_ws r;
-  if r.pos < r.stop && Bytes.get r.src r.pos = '}' then begin
+  if r.pos < r.stop && Bytes.get r.src r.pos = closing then begin
     r.pos <- r.pos + 1;
     false
   end
   else true
+
+(* After a member or element: [true] past ',', [false] past the close. *)
+let next r closing msg =
+  skip_ws r;
+  if r.pos < r.stop && Bytes.get r.src r.pos = ',' then begin
+    r.pos <- r.pos + 1;
+    true
+  end
+  else if r.pos < r.stop && Bytes.get r.src r.pos = closing then begin
+    r.pos <- r.pos + 1;
+    false
+  end
+  else fail r msg
+
+let enter_object r = enter r '{' '}' "expected {"
+let next_field r = next r '}' "expected , or }"
+let enter_array r = enter r '[' ']' "expected ["
+let next_item r = next r ']' "expected , or ]"
 
 let field r =
   skip_ws r;
   read_string r;
   skip_ws r;
   expect r ':' "expected :"
-
-let next_field r =
-  skip_ws r;
-  if r.pos < r.stop && Bytes.get r.src r.pos = ',' then begin
-    r.pos <- r.pos + 1;
-    true
-  end
-  else if r.pos < r.stop && Bytes.get r.src r.pos = '}' then begin
-    r.pos <- r.pos + 1;
-    false
-  end
-  else fail r "expected , or }"
-
-let enter_array r =
-  expect r '[' "expected [";
-  skip_ws r;
-  if r.pos < r.stop && Bytes.get r.src r.pos = ']' then begin
-    r.pos <- r.pos + 1;
-    false
-  end
-  else true
-
-let next_item r =
-  skip_ws r;
-  if r.pos < r.stop && Bytes.get r.src r.pos = ',' then begin
-    r.pos <- r.pos + 1;
-    true
-  end
-  else if r.pos < r.stop && Bytes.get r.src r.pos = ']' then begin
-    r.pos <- r.pos + 1;
-    false
-  end
-  else fail r "expected , or ]"
 
 let expect_end r =
   skip_ws r;
