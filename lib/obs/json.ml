@@ -379,21 +379,24 @@ let scan_number r =
   let m = ref 0 and sig_digits = ref 0 and digits = ref 0 and frac = ref 0 in
   let fractional = ref false in
   (* the digits, with at most one '.' among them *)
-  while
-    !i < stop
-    && (is_digit (Bytes.get src !i) || ((not !fractional) && Bytes.get src !i = '.'))
-  do
-    if Bytes.get src !i = '.' then fractional := true
-    else begin
-      let dg = Char.code (Bytes.get src !i) - 48 in
+  let in_digits = ref true in
+  while !in_digits && !i < stop do
+    let c = Bytes.get src !i in
+    if is_digit c then begin
+      let dg = Char.code c - 48 in
       if !sig_digits > 0 || dg > 0 then begin
         incr sig_digits;
         if !sig_digits <= 18 then m := (!m * 10) + dg
       end;
       incr digits;
-      if !fractional then incr frac
-    end;
-    incr i
+      if !fractional then incr frac;
+      incr i
+    end
+    else if c = '.' && not !fractional then begin
+      fractional := true;
+      incr i
+    end
+    else in_digits := false
   done;
   let strict = ref (!digits > 0) in
   let e = ref 0 in
