@@ -295,8 +295,9 @@ let run_micro () =
 
 (* Sweep batch sizes over the same total prediction count so the rows
    are comparable; BENCH_serve.json is the committed record of the
-   batched kernel's speedup over the scalar reference, plus two extra
-   sections: the live-daemon load test and the batched-memo fix. *)
+   batched kernel's speedup over the scalar reference, plus the
+   live-daemon load tests (binary and JSON lines, same stream), the
+   multi-client record and the batched-memo fix. *)
 
 (* The per-lookup memo path measured at the PR-7 commit (batch 256,
    same fixture and machine class): the committed baseline the batched

@@ -367,8 +367,9 @@ let wide_decimal r m e10 neg =
    1 = a float (in [float_value]), 2 = leave it to [number]'s slow path.
    The token runs over every byte in [0-9+-.eE], as it always has; the
    fast paths take only tokens of the strict shape
-   [+-]? digits ('.' digits)? ([eE] [+-]? digits)? that both
-   [int_of_string] and [float_of_string] accept whole.  An int token
+   [+-]? d* ('.' d* )? ([eE] [+-]? d+)?, with at least one mantissa
+   digit, that [float_of_string] (and, without '.' or an exponent,
+   [int_of_string]) accept whole.  An int token
    takes at most 18 significant digits (so it fits); a fractional one
    at most 18 significant digits and a decimal exponent within 22. *)
 let scan_number r =
