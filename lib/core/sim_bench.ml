@@ -60,13 +60,14 @@ let median xs = Archpred_stats.Quantile.median xs
 
 let range xs = (Array.fold_left Float.min infinity xs, Array.fold_left Float.max neg_infinity xs)
 
-let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ])
-    ?(reps = 5) () =
+(* interleaved timing repetitions behind each figure *)
+let reps = 5
+
+let run ?(trace_length = 20_000) ?(n_configs = 16) ?(batches = [ 1; 4; 16 ]) () =
   if trace_length < 1 then
     Obs.Error.invalid_input ~where:"Sim_bench.run" "trace_length < 1";
   if n_configs < 1 then
     Obs.Error.invalid_input ~where:"Sim_bench.run" "n_configs < 1";
-  if reps < 1 then Obs.Error.invalid_input ~where:"Sim_bench.run" "reps < 1";
   List.iter
     (fun b ->
       if b < 1 || b > n_configs then

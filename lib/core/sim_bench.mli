@@ -46,17 +46,16 @@ val run :
   ?trace_length:int ->
   ?n_configs:int ->
   ?batches:int list ->
-  ?reps:int ->
   unit ->
   result
 (** Measure (defaults: 20_000-instruction mcf trace, 16 configs, batch
-    sizes [[1; 4; 16]], 5 repetitions).  Each repetition times every
+    sizes [[1; 4; 16]]) over 5 repetitions.  Each repetition times every
     config sequentially and then every batch size, so the two engines
     are interleaved; each time is the median over the repetitions, with
     its range kept beside it.  The simulated values are deterministic;
     only the timings vary run to run.  Raises
-    [Archpred (Invalid_input _)] on a degenerate budget, [reps < 1] or a
-    batch size outside [[1, n_configs]]. *)
+    [Archpred (Invalid_input _)] on a degenerate budget or a batch size
+    outside [[1, n_configs]]. *)
 
 val json_of_result : result -> Archpred_obs.Json.t
 (** The [sim] section payload. *)

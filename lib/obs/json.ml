@@ -137,6 +137,19 @@ let reset r src off len =
   r.pos <- off;
   r.stop <- off + len
 
+(* a decode scratch above this is dropped by [release] *)
+let scratch_keep = 4096
+
+let release r =
+  r.src <- Bytes.empty;
+  r.base <- 0;
+  r.pos <- 0;
+  r.stop <- 0;
+  r.s_src <- Bytes.empty;
+  r.s_off <- 0;
+  r.s_len <- 0;
+  if Bytes.length r.scratch > scratch_keep then r.scratch <- Bytes.empty
+
 let fail r msg = raise (Syntax_error (r.pos - r.base, msg))
 
 let rec skip_ws r =
@@ -409,7 +422,10 @@ let scan_number r =
     if !i < stop && (eneg || Bytes.get src !i = '+') then incr i;
     let exp_digits = ref 0 in
     while !i < stop && is_digit (Bytes.get src !i) do
-      if !e < 100_000 then e := (!e * 10) + (Char.code (Bytes.get src !i) - 48);
+      (* past the cap the exponent is no longer exact: leave the token
+         to the slow path *)
+      if !e < 100_000 then e := (!e * 10) + (Char.code (Bytes.get src !i) - 48)
+      else strict := false;
       incr exp_digits;
       incr i
     done;

@@ -73,6 +73,11 @@ val reset : reader -> Bytes.t -> int -> int -> unit
 (** [reset r src off len] points [r] at a new window.  Raises
     [Invalid_argument] when the window lies outside [src]. *)
 
+val release : reader -> unit
+(** Point [r] at an empty window and drop a string scratch above 4 KiB,
+    so a long-lived reader keeps neither its last window nor the
+    longest escaped string it ever decoded alive. *)
+
 val peek : reader -> kind
 (** Skip whitespace and classify the next value from its first byte,
     without consuming it; a byte no other kind starts with is

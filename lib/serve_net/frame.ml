@@ -495,22 +495,20 @@ let decode_json_line d n ~what read_field of_fields =
   Json.reset r d.buf d.start n;
   reset_fields d;
   match
-    (match Json.peek r with
-    | Json.K_object ->
-        let more = ref (Json.enter_object r) in
-        while !more do
-          read_field d r;
-          more := Json.next_field r
-        done
-    | Json.K_array | Json.K_string | Json.K_number | Json.K_true
-    | Json.K_false | Json.K_null ->
-        Json.skip_value r);
+    (* [next_frame] only hands over lines that start with '{' *)
+    let more = ref (Json.enter_object r) in
+    while !more do
+      read_field d r;
+      more := Json.next_field r
+    done;
     Json.expect_end r
   with
   | () ->
+      Json.release r;
       consume d (n + 1);
       of_fields d
   | exception Json.Syntax_error (at, msg) ->
+      Json.release r;
       fail d (Printf.sprintf "bad JSON %s: character %d: %s" what at msg)
 
 let parse_binary_request payload =

@@ -68,7 +68,7 @@ let () =
   in
   if expect_int "trace_length" sim <> 400 then fail "wrong trace_length";
   if expect_int "n_configs" sim <> 5 then fail "wrong n_configs";
-  if expect_int "reps" sim <> 5 then fail "wrong reps (want the default 5)";
+  if expect_int "reps" sim <> 5 then fail "wrong reps (want 5)";
   let rates =
     match Json.member "rates" sim with
     | Some (Json.List l) -> l

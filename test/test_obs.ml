@@ -224,9 +224,16 @@ let qcheck_json_number_exact =
         (int_range 100_000_000_000_000_000 (max_int / 4))
         (int_range (-24) 24) bool)
   in
+  (* a long run of fraction zeros offset by the exponent *)
+  let zeros =
+    QCheck.Gen.(
+      map3
+        (fun k d e -> Printf.sprintf "0.%s%de%d" (String.make k '0') d (k + e))
+        (int_bound 400) (int_range 1 9) (int_range (-25) 25))
+  in
   let gen =
     QCheck.Gen.(
-      frequency [ (4, rendered); (3, wide); (1, oneofl edge) ]
+      frequency [ (4, rendered); (3, wide); (1, zeros); (1, oneofl edge) ]
       |> map (fun s -> if fractional s then s else s ^ ".0"))
   in
   QCheck.Test.make ~name:"Json number fast path is float_of_string" ~count:5000
@@ -253,6 +260,23 @@ let test_json_number_edges () =
       ("-0.0", -0.);
       ("0.1", 0.1);
       ("4.9e-324", 4.9e-324);
+    ];
+  (* exponents too long to hold exactly, with enough fraction zeros to
+     bring what would be kept of them back into the fast range *)
+  let zeros k = "0." ^ String.make k '0' in
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok (Json.Float f) ->
+          Alcotest.(check bool) (String.sub s 0 8 ^ "...") true
+            (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (float_of_string s)))
+      | Ok _ -> Alcotest.failf "long token: not a float"
+      | Error e -> Alcotest.failf "long token: %s" e)
+    [
+      zeros 99_999 ^ "1e1000000";
+      zeros 99_999 ^ "1e100005";
+      zeros 999_999 ^ "1e1000000";
+      "1.5e" ^ String.make 40 '0' ^ "1";
     ];
   (* the int side of the rule is unchanged: -0 is the int 0, so +0.0 *)
   Alcotest.(check bool) "-0 is Int 0" true (Json.of_string "-0" = Ok (Json.Int 0));

@@ -625,6 +625,31 @@ let test_long_line_bytewise () =
      minutes for this line *)
   Alcotest.(check bool) (Printf.sprintf "bytewise feed took %.2f s" elapsed) true (elapsed < 10.)
 
+(* One decoder across a long escaped string and the short lines after
+   it: the reader drops its grown scratch between lines, and every line
+   still decodes to what it says. *)
+let test_decoder_reuse_after_long_escape () =
+  let long = String.concat "" (List.init 5000 (fun _ -> "\\u00e9")) in
+  let lines =
+    [
+      "{\"cmd\":\"reload\",\"path\":\"" ^ long ^ "\"}\n";
+      "{\"cmd\":\"reload\",\"path\":\"a\\u0062\"}\n";
+      "{\"id\":2,\"point\":[0.5,0.25]}\n";
+    ]
+  in
+  let want =
+    [
+      Frame.Reload (Some (String.concat "" (List.init 5000 (fun _ -> "\xc3\xa9"))));
+      Frame.Reload (Some "ab");
+      Frame.Predict { id = 2; point = [| 0.5; 0.25 |]; natural = false };
+    ]
+  in
+  let got = List.map fst (decode_all_requests lines) in
+  Alcotest.(check int) "three requests" 3 (List.length got);
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "same request" true (request_equal a b))
+    want got
+
 (* The JSON codec's per-frame allocation: a 9-coordinate request
    decodes into little more than its result, and a reply encodes with
    only the %.17g text of its value. *)
@@ -1177,6 +1202,8 @@ let () =
             test_json_decode_cases;
           Alcotest.test_case "long line fed bytewise" `Quick
             test_long_line_bytewise;
+          Alcotest.test_case "decoder reuse after a long escape" `Quick
+            test_decoder_reuse_after_long_escape;
           Alcotest.test_case "JSON codec allocation" `Quick
             test_json_codec_alloc;
         ] );
